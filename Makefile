@@ -72,13 +72,15 @@ bench-serve:
 	$(GO) test -run='^$$' -bench=BenchmarkInferServe -benchmem ./internal/serve/ \
 		| $(GO) run ./cmd/benchjson -label serve -out BENCH_serve.json
 
-# Store tier: the versioned model store and the serving hot-swap path under
-# the race detector, twice (-count=2 exercises store GC and channel moves
-# against a directory that already holds prior state): content-addressed
-# versions, channel pointers, crash-tail log recovery, the shadow-eval
-# promotion gate, and the 100-poller never-torn swap parity suite.
+# Store tier: the versioned model store, its fleet-checkpoint client and the
+# serving hot-swap path under the race detector, twice (-count=2 exercises
+# store GC and channel moves against a directory that already holds prior
+# state): content-addressed versions, channel pointers, crash-tail log
+# recovery, checkpoint rounds as store versions (history GC, pinned
+# channels), the shadow-eval promotion gate, and the 100-poller never-torn
+# swap parity suite.
 test-store:
-	$(GO) test -race -count=2 -run 'Store|Swap|Promote|Gate|Channel|GC|Version|Model' ./internal/modelstore/ ./internal/serve/
+	$(GO) test -race -count=2 -run 'Store|Swap|Promote|Gate|Channel|GC|Version|Model' ./internal/modelstore/ ./internal/fleet/ ./internal/serve/
 
 # Serve smoke tier: boot petd on an ephemeral port and drive the whole
 # control plane over real HTTP — experiment lifecycle (launch, inspect,

@@ -8,8 +8,9 @@
 //	petd                                      # lifecycle API + telemetry only
 //	petd -addr :9090 -max-jobs 2              # two experiments simulate at once
 //	petd -models pet.model -topo tiny         # also serve POST /infer
-//	petd -models ckpt/                        # bundle from a fleet checkpoint dir
+//	petd -models ckpt/                        # newest round of a fleet checkpoint dir
 //	petd -store models/                       # versioned store: /models API, boot from "serving"
+//	petd -store ckpt/                         # a fleet checkpoint dir is such a store
 //	petd -list-schemes                        # registered scheme names
 //
 // Endpoints:

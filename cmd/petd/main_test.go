@@ -347,7 +347,7 @@ func TestDaemonStoreEmptyNotReady(t *testing.T) {
 }
 
 // TestDaemonCheckpointModels: -models accepts a fleet checkpoint directory,
-// reusing the sha256-verified manifest machinery.
+// serving its newest sha256-verified round.
 func TestDaemonCheckpointModels(t *testing.T) {
 	dir := t.TempDir()
 	res, err := pet.PretrainFleet(pet.Scenario{Topo: pet.TinyScale(), Load: 0.5, Seed: 1},
@@ -371,6 +371,24 @@ func TestDaemonCheckpointModels(t *testing.T) {
 	}
 	if code := stop(); code != 0 {
 		t.Fatalf("petd exited %d", code)
+	}
+
+	// The same directory is a model store: the round is a version on the
+	// candidate channel, ready to promote.
+	base, stop = startDaemon(t, "-store", dir, "-replicas", "1")
+	var list struct {
+		Channels map[string]int `json:"channels"`
+		Versions []struct {
+			Source string `json:"source"`
+		} `json:"versions"`
+	}
+	getJSON(t, base+"/models", &list)
+	if len(list.Versions) != 1 || list.Channels[pet.ModelChannelCandidate] != 1 ||
+		!strings.Contains(list.Versions[0].Source, "fleet round 1") {
+		t.Fatalf("checkpoint store lists %+v, want fleet round 1 as candidate version 1", list)
+	}
+	if code := stop(); code != 0 {
+		t.Fatalf("petd -store exited %d", code)
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pet/internal/modelstore"
 	"pet/internal/sim"
 	"pet/internal/telemetry"
 )
@@ -128,7 +130,7 @@ func TestQuorumFailureCheckpointsCompletedRounds(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("below-quorum round did not abort: err = %v", err)
 	}
-	m, _, lerr := LoadCheckpoint(dir)
+	m, _, _, lerr := LoadCheckpoint(dir, nil)
 	if lerr != nil {
 		t.Fatalf("no checkpoint after quorum failure: %v", lerr)
 	}
@@ -186,17 +188,19 @@ func TestFaultHangHitsDeadlineAndRetries(t *testing.T) {
 
 // Corrupting the newest retained bundle must not brick resume: the loader
 // falls back to the previous round's bundle and the rerun converges to the
-// exact bytes of an uninterrupted run.
+// exact bytes of an uninterrupted run. Episodes train (trainEpisode) so
+// every round's bundle differs: a content-addressed store keeps identical
+// round bundles in one object, and rotting that object rots them all.
 func TestCheckpointFallbackAfterCorruption(t *testing.T) {
 	s := testScenario(34)
 	dir := t.TempDir()
-	straight, err := Pretrain(s, Config{Workers: 2, Rounds: 4, Episode: chaosEpisode})
+	straight, err := Pretrain(s, Config{Workers: 2, Rounds: 4, Episode: trainEpisode})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg := Config{
-		Workers: 2, Rounds: 3, Episode: chaosEpisode, Checkpoint: dir,
+		Workers: 2, Rounds: 3, Episode: trainEpisode, Checkpoint: dir,
 		Faults: &FaultPlan{CorruptBundles: []int{3}}, // newest bundle rots on disk
 	}
 	if _, err := Pretrain(s, cfg); err != nil {
@@ -205,7 +209,7 @@ func TestCheckpointFallbackAfterCorruption(t *testing.T) {
 
 	var logs []string
 	res, err := Pretrain(s, Config{
-		Workers: 2, Rounds: 4, Episode: chaosEpisode, Checkpoint: dir, Resume: true,
+		Workers: 2, Rounds: 4, Episode: trainEpisode, Checkpoint: dir, Resume: true,
 		Logf: func(format string, a ...any) { logs = append(logs, format) },
 	})
 	if err != nil {
@@ -225,6 +229,45 @@ func TestCheckpointFallbackAfterCorruption(t *testing.T) {
 	}
 	if len(logs) == 0 {
 		t.Fatal("fallback logged nothing about the skipped checkpoint")
+	}
+}
+
+// Rounds whose bundles are identical (chaosEpisode never reaches a PPO
+// update) share one content-addressed object, so rotting it rots every
+// retained round: there is nothing to fall back to, and resume fails with
+// the store's typed checksum error naming that shared object instead of
+// training from garbage or starting over.
+func TestCheckpointCorruptSharedObject(t *testing.T) {
+	s := testScenario(35)
+	dir := t.TempDir()
+	cfg := Config{
+		Workers: 1, Rounds: 2, Episode: chaosEpisode, Checkpoint: dir,
+		Faults: &FaultPlan{CorruptBundles: []int{2}},
+	}
+	if _, err := Pretrain(s, cfg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := st.Versions()
+	if len(vs) != 2 || vs[0].SHA256 != vs[1].SHA256 {
+		t.Fatalf("want 2 round versions sharing one object, got %+v", vs)
+	}
+
+	var logs []string
+	cfg.Rounds, cfg.Resume, cfg.Faults = 3, true, nil
+	cfg.Logf = func(format string, a ...any) { logs = append(logs, fmt.Sprintf(format, a...)) }
+	_, err = Pretrain(s, cfg)
+	if !errors.Is(err, modelstore.ErrBundleCorrupt) || !strings.Contains(err.Error(), vs[0].SHA256[:12]) {
+		t.Fatalf("resume over a rotted shared object: err = %v, want ErrBundleCorrupt naming %.12s", err, vs[0].SHA256)
+	}
+	if joined := strings.Join(logs, "\n"); !strings.Contains(joined, "version 1") || !strings.Contains(joined, "version 2") {
+		t.Fatalf("both rounds sharing the object should be skipped, log:\n%s", joined)
+	}
+	if st, err = modelstore.Open(dir); err != nil || len(st.Versions()) != 2 {
+		t.Fatalf("failed resume wrote to the store (err %v)", err)
 	}
 }
 
@@ -249,7 +292,7 @@ func TestPretrainContextCancelWritesFinalCheckpoint(t *testing.T) {
 	if res.Rounds != 1 {
 		t.Fatalf("completed rounds = %d, want 1", res.Rounds)
 	}
-	m, _, lerr := LoadCheckpoint(dir)
+	m, _, _, lerr := LoadCheckpoint(dir, nil)
 	if lerr != nil {
 		t.Fatalf("no final checkpoint after cancellation: %v", lerr)
 	}
@@ -295,10 +338,14 @@ func TestChaosEndToEndDeterministic(t *testing.T) {
 			},
 			CorruptBundles: []int{2},
 		}
+		// Episodes train (trainEpisode) so rounds 1 and 2 hold distinct
+		// bundles to fall back between; the deadline leaves such episodes
+		// ample room under the race detector, so only the injected hang
+		// straggles.
 		cfg := Config{
-			Workers: 2, Rounds: 2, Episode: chaosEpisode,
+			Workers: 2, Rounds: 2, Episode: trainEpisode,
 			MaxRetries: 1, RetryBackoff: time.Millisecond,
-			EpisodeTimeout: 2 * time.Second, MinQuorum: 1,
+			EpisodeTimeout: 10 * time.Second, MinQuorum: 1,
 			Checkpoint: dir, Faults: plan,
 		}
 		// Phase 1: rounds 0–1 (panic at round 1 retried); the round-2

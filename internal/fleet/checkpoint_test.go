@@ -1,139 +1,163 @@
 package fleet
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
+
+	"pet/internal/modelstore"
+	"pet/internal/sim"
 )
 
-// saveRounds writes checkpoints for rounds 1..n with distinct payloads.
-func saveRounds(t *testing.T, dir string, n, keep int) {
+// saveRounds checkpoints rounds 1..n with distinct payloads into the store
+// at dir.
+func saveRounds(t *testing.T, dir string, n, keep int) *modelstore.Store {
 	t.Helper()
-	for r := 1; r <= n; r++ {
-		m := Manifest{Round: r, Workers: 1, Seed: 1, EpisodePs: 1}
-		if err := SaveCheckpoint(dir, m, []byte(fmt.Sprintf("round-%d-weights", r)), keep); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// checkpointFiles lists the round-stamped files currently on disk.
-func checkpointFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
+	st, err := modelstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, e := range entries {
-		if _, ok := checkpointRound(e.Name()); ok {
-			names = append(names, e.Name())
+	for r := 1; r <= n; r++ {
+		rec := RoundRecord{Round: r, Workers: 1, Seed: 1, EpisodePs: 1}
+		if _, err := saveCheckpoint(st, rec, []byte(fmt.Sprintf("round-%d-weights", r)), keep); err != nil {
+			t.Fatal(err)
 		}
 	}
-	sort.Strings(names)
-	return names
+	return st
+}
+
+// readable lists the versions whose bytes still read back.
+func readable(st *modelstore.Store) []int {
+	var vs []int
+	for _, vi := range st.Versions() {
+		if _, _, err := st.Get(vi.Version); err == nil {
+			vs = append(vs, vi.Version)
+		}
+	}
+	return vs
+}
+
+// objectOf is the on-disk object of one store version.
+func objectOf(t *testing.T, st *modelstore.Store, version int) string {
+	t.Helper()
+	vi, err := st.Info(version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.ObjectPath(vi.SHA256)
 }
 
 // The GC must retain the newest keep rounds — not nuke everything but the
 // latest — so a single corrupted bundle still leaves fallback candidates.
 func TestGCRetainsCheckpointHistory(t *testing.T) {
-	dir := t.TempDir()
-	saveRounds(t, dir, 5, 3)
-	want := []string{
-		"fleet-000003.bundle", "fleet-000003.json",
-		"fleet-000004.bundle", "fleet-000004.json",
-		"fleet-000005.bundle", "fleet-000005.json",
+	st := saveRounds(t, t.TempDir(), 5, 3)
+	if got, want := readable(st), []int{3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("readable versions = %v, want %v", got, want)
 	}
-	if got := checkpointFiles(t, dir); !equalStrings(got, want) {
-		t.Fatalf("retained files = %v, want %v", got, want)
+	if vi, err := st.Channel(modelstore.ChannelCandidate); err != nil || vi.Version != 5 {
+		t.Fatalf("candidate channel = %+v, %v; want version 5", vi, err)
 	}
 
-	// keep=1 reproduces the old single-bundle behavior.
-	dir = t.TempDir()
-	saveRounds(t, dir, 4, 1)
-	want = []string{"fleet-000004.bundle", "fleet-000004.json"}
-	if got := checkpointFiles(t, dir); !equalStrings(got, want) {
-		t.Fatalf("keep=1 retained files = %v, want %v", got, want)
+	// keep=1 keeps only the newest round's bytes.
+	st = saveRounds(t, t.TempDir(), 4, 1)
+	if got, want := readable(st), []int{4}; !slices.Equal(got, want) {
+		t.Fatalf("keep=1 readable versions = %v, want %v", got, want)
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Every corruption mode must yield its typed error when no fallback
-// candidate exists — never a zero Manifest or silently-garbage weights.
+// candidate exists — never a zero RoundRecord or silently-garbage weights.
 func TestLoadCheckpointTypedErrors(t *testing.T) {
 	t.Run("no checkpoint", func(t *testing.T) {
-		_, _, err := LoadCheckpoint(t.TempDir())
+		_, _, _, err := LoadCheckpoint(t.TempDir(), nil)
 		if !errors.Is(err, ErrNoCheckpoint) {
 			t.Fatalf("err = %v, want ErrNoCheckpoint", err)
+		}
+		// A store whose versions carry no round record is no checkpoint.
+		dir := t.TempDir()
+		st, err := modelstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Put([]byte("uploaded"), "api", "", nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := LoadCheckpoint(dir, nil); !errors.Is(err, ErrNoCheckpoint) {
+			t.Fatalf("record-less store: err = %v, want ErrNoCheckpoint", err)
 		}
 	})
 
 	t.Run("garbage manifest JSON", func(t *testing.T) {
+		// The version log is the manifest now: damage before its final
+		// line is corruption, not a torn append.
 		dir := t.TempDir()
-		mustWrite(t, filepath.Join(dir, manifestName), []byte("{truncated"))
-		_, _, err := LoadCheckpoint(dir)
-		if !errors.Is(err, ErrManifestCorrupt) {
-			t.Fatalf("err = %v, want ErrManifestCorrupt", err)
+		saveRounds(t, dir, 2, 2)
+		logPath := filepath.Join(dir, "versions.log")
+		data, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(t, logPath, append([]byte("{truncated\n"), data...))
+		_, _, _, err = LoadCheckpoint(dir, nil)
+		if !errors.Is(err, modelstore.ErrLogCorrupt) {
+			t.Fatalf("err = %v, want modelstore.ErrLogCorrupt", err)
 		}
 	})
 
 	t.Run("manifest escaping the directory", func(t *testing.T) {
 		dir := t.TempDir()
-		mustWrite(t, filepath.Join(dir, manifestName),
-			[]byte(`{"version": 1, "round": 1, "bundle": "../evil.bundle"}`))
-		_, _, err := LoadCheckpoint(dir)
-		if !errors.Is(err, ErrManifestCorrupt) {
-			t.Fatalf("err = %v, want ErrManifestCorrupt", err)
+		line := `{"version":1,"sha256":"../evil","bytes":4,"created_at":"2024-01-01T00:00:00Z","meta":{"round":1}}`
+		mustWrite(t, filepath.Join(dir, "versions.log"), []byte(line+"\n"))
+		_, _, _, err := LoadCheckpoint(dir, nil)
+		if !errors.Is(err, modelstore.ErrLogCorrupt) {
+			t.Fatalf("err = %v, want modelstore.ErrLogCorrupt", err)
 		}
 	})
 
 	t.Run("version skew", func(t *testing.T) {
+		// The retired layout is refused by name, and resume leaves it
+		// untouched instead of starting fresh over it.
 		dir := t.TempDir()
-		mustWrite(t, filepath.Join(dir, manifestName),
-			[]byte(`{"version": 99, "round": 1, "bundle": "fleet-000001.bundle"}`))
-		_, _, err := LoadCheckpoint(dir)
-		if !errors.Is(err, ErrVersionSkew) {
-			t.Fatalf("err = %v, want ErrVersionSkew", err)
+		legacy := []string{"fleet-000001.bundle", "manifest.json"}
+		mustWrite(t, filepath.Join(dir, legacy[0]), []byte("weights"))
+		mustWrite(t, filepath.Join(dir, legacy[1]),
+			[]byte(`{"version": 1, "round": 1, "bundle": "fleet-000001.bundle"}`))
+		_, err := Pretrain(testScenario(12), Config{
+			Workers: 1, Rounds: 2, Episode: 2 * sim.Millisecond, Checkpoint: dir, Resume: true,
+		})
+		if !errors.Is(err, ErrLegacyCheckpoint) || !strings.Contains(err.Error(), "manifest.json") {
+			t.Fatalf("err = %v, want ErrLegacyCheckpoint naming manifest.json", err)
+		}
+		if got := dirNames(t, dir); !slices.Equal(got, legacy) {
+			t.Fatalf("legacy directory now holds %v, want %v untouched", got, legacy)
 		}
 	})
 
 	t.Run("missing bundle", func(t *testing.T) {
 		dir := t.TempDir()
-		saveRounds(t, dir, 1, 1)
-		if err := os.Remove(filepath.Join(dir, bundleName(1))); err != nil {
+		st := saveRounds(t, dir, 1, 1)
+		if err := os.Remove(objectOf(t, st, 1)); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := LoadCheckpoint(dir)
-		if !errors.Is(err, ErrBundleMissing) {
-			t.Fatalf("err = %v, want ErrBundleMissing", err)
+		_, _, _, err := LoadCheckpoint(dir, nil)
+		if !errors.Is(err, modelstore.ErrBundleGone) {
+			t.Fatalf("err = %v, want modelstore.ErrBundleGone", err)
 		}
 	})
 
 	t.Run("checksum mismatch", func(t *testing.T) {
 		dir := t.TempDir()
-		saveRounds(t, dir, 1, 1)
-		if err := corruptBundleFile(filepath.Join(dir, bundleName(1))); err != nil {
+		st := saveRounds(t, dir, 1, 1)
+		if err := corruptBundleFile(objectOf(t, st, 1)); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := LoadCheckpoint(dir)
-		if !errors.Is(err, ErrBundleCorrupt) {
-			t.Fatalf("err = %v, want ErrBundleCorrupt", err)
+		_, _, _, err := LoadCheckpoint(dir, nil)
+		if !errors.Is(err, modelstore.ErrBundleCorrupt) {
+			t.Fatalf("err = %v, want modelstore.ErrBundleCorrupt", err)
 		}
 		if !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("error %q does not mention the checksum", err)
@@ -145,15 +169,17 @@ func TestLoadCheckpointTypedErrors(t *testing.T) {
 // intact round instead of failing.
 func TestLoadCheckpointFallsBackThroughHistory(t *testing.T) {
 	dir := t.TempDir()
-	saveRounds(t, dir, 3, 3)
-	// Round 3's bundle rots; round 2's history manifest is torn to garbage.
-	if err := corruptBundleFile(filepath.Join(dir, bundleName(3))); err != nil {
+	st := saveRounds(t, dir, 3, 3)
+	// Round 3's bytes rot; round 2's are gone.
+	if err := corruptBundleFile(objectOf(t, st, 3)); err != nil {
 		t.Fatal(err)
 	}
-	mustWrite(t, filepath.Join(dir, historyName(2)), []byte("{torn"))
+	if err := os.Remove(objectOf(t, st, 2)); err != nil {
+		t.Fatal(err)
+	}
 
 	var logs []string
-	m, models, fellBack, err := LoadCheckpointFallback(dir, func(format string, a ...any) {
+	rec, models, fellBack, err := LoadCheckpoint(dir, func(format string, a ...any) {
 		logs = append(logs, fmt.Sprintf(format, a...))
 	})
 	if err != nil {
@@ -162,57 +188,107 @@ func TestLoadCheckpointFallsBackThroughHistory(t *testing.T) {
 	if !fellBack {
 		t.Fatal("fellBack = false, want true")
 	}
-	if m.Round != 1 {
-		t.Fatalf("fell back to round %d, want 1", m.Round)
-	}
-	if !bytes.Equal(models, []byte("round-1-weights")) {
-		t.Fatalf("fallback models = %q", models)
+	if rec.Round != 1 || string(models) != "round-1-weights" {
+		t.Fatalf("fell back to round %d (%q), want round 1", rec.Round, models)
 	}
 	// Both bad candidates were logged before round 1 was accepted.
 	joined := strings.Join(logs, "\n")
-	for _, want := range []string{manifestName, historyName(2), "round 1"} {
+	for _, want := range []string{"version 3", "version 2", "round 1"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("fallback log missing %q:\n%s", want, joined)
 		}
 	}
 
-	// A garbage latest manifest (torn write) also falls back: the history
-	// twin of the same round still verifies.
+	// A torn final log line (kill mid-append) and a newer version without
+	// a round record are both passed over without counting as a fallback.
 	dir = t.TempDir()
-	saveRounds(t, dir, 2, 3)
-	mustWrite(t, filepath.Join(dir, manifestName), []byte("{torn"))
-	m, models, fellBack, err = LoadCheckpointFallback(dir, nil)
-	if err != nil || !fellBack || m.Round != 2 {
-		t.Fatalf("round=%d fellBack=%v err=%v, want round 2 via history", m.Round, fellBack, err)
+	st = saveRounds(t, dir, 2, 3)
+	if _, err := st.Put([]byte("uploaded"), "api", "", nil); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(models, []byte("round-2-weights")) {
-		t.Fatalf("fallback models = %q", models)
+	f, err := os.OpenFile(filepath.Join(dir, "versions.log"), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"version":4,"sha256":"de`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	rec, models, fellBack, err = LoadCheckpoint(dir, nil)
+	if err != nil || fellBack || rec.Round != 2 || string(models) != "round-2-weights" {
+		t.Fatalf("round=%d fellBack=%v err=%v, want round 2 without fallback", rec.Round, fellBack, err)
 	}
 }
 
-// Old checkpoints carry no fault-tolerance fields; they must load with
-// zero-value history rather than erroring (manifest forward compatibility).
+// Zero-valued fault fields stay out of the record, and a record without
+// them loads with zero-value history (forward compatibility).
 func TestManifestWithoutFaultFieldsLoads(t *testing.T) {
 	dir := t.TempDir()
 	saveRounds(t, dir, 1, 1)
-	// Strip the optional fields by rewriting the manifest as the seed
-	// version wrote it.
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	data, err := os.ReadFile(filepath.Join(dir, "versions.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{"retries", "stragglers", "degraded_rounds"} {
 		if strings.Contains(string(data), field) {
-			t.Fatalf("zero-valued %q serialized into the manifest: %s", field, data)
+			t.Fatalf("zero-valued %q serialized into the round record: %s", field, data)
 		}
 	}
-	m, _, err := LoadCheckpoint(dir)
+	rec, _, _, err := LoadCheckpoint(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Retries != 0 || m.Stragglers != 0 || len(m.DegradedRounds) != 0 {
-		t.Fatalf("fault fields = %+v, want zero values", m)
+	if rec.Round != 1 || rec.Retries != 0 || rec.Stragglers != 0 || len(rec.DegradedRounds) != 0 {
+		t.Fatalf("record = %+v, want round 1 with zero fault fields", rec)
 	}
+}
+
+// A logged record holds only the rounds since the previous checkpoint, so
+// the log grows linearly in rounds; LoadCheckpoint rebuilds the full
+// history by chaining predecessors, skipping records of an abandoned
+// branch (round 3 below, rewritten after a fallback to round 2) and
+// spanning multi-round checkpoint intervals.
+func TestLoadCheckpointRebuildsHistory(t *testing.T) {
+	dir := t.TempDir()
+	st, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range []RoundRecord{
+		{Round: 1, Rewards: []float64{1}},
+		{Round: 2, Rewards: []float64{2}, DegradedRounds: []int{1}},
+		{Round: 3, Rewards: []float64{-3}, DegradedRounds: []int{2}},
+		{Round: 3, Rewards: []float64{3}},
+		{Round: 5, Rewards: []float64{4, 5}, DegradedRounds: []int{4}},
+	} {
+		if _, err := saveCheckpoint(st, rec, []byte(fmt.Sprintf("bundle-%d", i)), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, _, _, err := LoadCheckpoint(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{1, 2, 3, 4, 5}; rec.Round != 5 || !slices.Equal(rec.Rewards, want) {
+		t.Fatalf("round %d rewards %v, want round 5 rewards %v", rec.Round, rec.Rewards, want)
+	}
+	if want := []int{1, 4}; !slices.Equal(rec.DegradedRounds, want) {
+		t.Fatalf("degraded rounds %v, want %v", rec.DegradedRounds, want)
+	}
+}
+
+// dirNames lists a directory's entries, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 func mustWrite(t *testing.T, path string, data []byte) {

@@ -60,9 +60,10 @@ type FaultPlan struct {
 	Episodes []Fault
 
 	// CorruptBundles lists checkpoint rounds (1-based, as recorded in
-	// Manifest.Round) whose bundle file is corrupted on disk immediately
-	// after the checkpoint write completes — simulating silent disk
-	// corruption so resume exercises the checkpoint-history fallback.
+	// RoundRecord.Round) whose store object is corrupted on disk
+	// immediately after the checkpoint write completes — simulating silent
+	// disk corruption so resume exercises the checkpoint-history fallback.
+	// Content addressing means every version sharing those bytes rots too.
 	CorruptBundles []int
 }
 
@@ -81,7 +82,7 @@ func (p *FaultPlan) episodeFault(round, worker, attempt int) FaultKind {
 }
 
 // corruptsBundle reports whether the plan corrupts the bundle saved for
-// the given manifest round.
+// the given checkpoint round.
 func (p *FaultPlan) corruptsBundle(round int) bool {
 	if p == nil {
 		return false
@@ -94,15 +95,13 @@ func (p *FaultPlan) corruptsBundle(round int) bool {
 	return false
 }
 
-// corruptBundleFile flips the first byte of the file in place, guaranteeing
-// a checksum mismatch without changing its size.
+// corruptBundleFile flips the first byte of a store object in place (the
+// store never holds an empty one), guaranteeing a checksum mismatch without
+// changing its size.
 func corruptBundleFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("fleet: cannot corrupt empty bundle %s", path)
 	}
 	data[0] ^= 0xff
 	return os.WriteFile(path, data, 0o644)

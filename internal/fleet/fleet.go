@@ -30,19 +30,21 @@
 // the last completed round before returning. Every failure path is
 // deterministically exercisable through Config.Faults (see FaultPlan).
 //
-// Long runs survive interruption through atomic checkpoints: after a merge
-// the bundle is written to a round-stamped file (write-to-temp + rename)
-// and then a JSON manifest — round number, seeds, cumulative reward, bundle
-// checksum — is atomically swapped in. The last KeepCheckpoints rounds are
-// retained, and resume falls back through them newest-first when the
-// latest bundle fails its checksum, so a single corrupted file never
-// bricks a run.
+// Long runs survive interruption through checkpoints into a model store
+// (internal/modelstore), which `petd -store` then serves: each merged round
+// is a new version carrying its RoundRecord, on the candidate channel, and
+// GC keeps the newest KeepCheckpoints versions plus pinned channels. Resume
+// takes the newest version with a record that reads back sha-verified, so
+// a single corrupted object never bricks a run.
 package fleet
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -64,7 +66,116 @@ const (
 	defaultRetryBackoff = 50 * time.Millisecond
 	// maxRetryBackoff caps the exponential backoff between attempts.
 	maxRetryBackoff = 5 * time.Second
+	// defaultKeepCheckpoints is the store GC depth when
+	// Config.KeepCheckpoints is zero.
+	defaultKeepCheckpoints = 3
 )
+
+// RoundRecord is the metadata a checkpoint version carries in the store
+// (VersionInfo.Meta): everything resume needs besides the bundle bytes.
+// The logged record keeps its size bounded: its Rewards and DegradedRounds
+// cover only the rounds since the previous checkpoint, and LoadCheckpoint
+// extends them back to round 1 through the predecessors' records, which
+// the version log keeps for good.
+type RoundRecord struct {
+	Round     int       `json:"round"`   // completed merge rounds
+	Workers   int       `json:"workers"` // worker count that produced it
+	Seed      int64     `json:"seed"`    // scenario root seed
+	EpisodePs int64     `json:"episode_ps"`
+	CumReward float64   `json:"cum_reward"`
+	Rewards   []float64 `json:"rewards"` // per-round mean rewards, ending at Round
+
+	// Fault-tolerance history. Retry seeds derive statelessly from
+	// (round, worker, attempt), so these fields document what happened —
+	// resume determinism never depends on them.
+	Retries        int   `json:"retries,omitempty"`         // cumulative retry attempts
+	Stragglers     int   `json:"stragglers,omitempty"`      // attempts past the episode deadline
+	DegradedRounds []int `json:"degraded_rounds,omitempty"` // 0-based rounds merged below full strength
+}
+
+// Typed checkpoint errors, matchable with errors.Is. Unreadable versions
+// surface the store's own typed errors (modelstore.ErrBundleCorrupt,
+// ErrBundleGone, ErrLogCorrupt).
+var (
+	// ErrNoCheckpoint reports a checkpoint store holding no round record.
+	ErrNoCheckpoint = errors.New("fleet: no checkpoint")
+	// ErrLegacyCheckpoint reports the retired layout, which is not read:
+	// retrain into a fresh directory.
+	ErrLegacyCheckpoint = errors.New("fleet: legacy checkpoint layout (manifest.json, fleet-NNNNNN.bundle) is no longer supported")
+)
+
+// LoadCheckpoint reads, without modifying dir, the newest store version
+// that carries a round record and reads back sha-verified. Versions without
+// a record (API uploads) are passed over; each unreadable one is logged
+// through logf (nil = silent) and sets fellBack. When none reads back, the
+// newest candidate's error is returned; with no record at all,
+// ErrNoCheckpoint (ErrLegacyCheckpoint for the retired layout).
+func LoadCheckpoint(dir string, logf func(format string, a ...any)) (rec RoundRecord, models []byte, fellBack bool, err error) {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "versions.log")); errors.Is(err, os.ErrNotExist) {
+		if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err == nil {
+			return rec, nil, false, fmt.Errorf("%w: %s holds manifest.json but no versions.log", ErrLegacyCheckpoint, dir)
+		}
+		return rec, nil, false, ErrNoCheckpoint
+	}
+	st, err := modelstore.Open(dir)
+	if err != nil {
+		return rec, nil, false, err
+	}
+	var firstErr error
+	versions := st.Versions()
+	for i := len(versions) - 1; i >= 0; i-- {
+		vi := versions[i]
+		if len(vi.Meta) == 0 {
+			continue
+		}
+		rec = RoundRecord{}
+		err := json.Unmarshal(vi.Meta, &rec)
+		if err == nil {
+			_, models, err = st.Get(vi.Version)
+		}
+		if err != nil {
+			logf("fleet: skipping checkpoint store version %d: %v", vi.Version, err)
+			firstErr = cmp.Or(firstErr, err)
+			continue
+		}
+		if firstErr != nil {
+			logf("fleet: fell back to checkpoint round %d (store version %d)", rec.Round, vi.Version)
+		}
+		// The predecessor is the newest earlier record of the round this
+		// one's history starts after.
+		for j, from := i-1, rec.Round-len(rec.Rewards); j >= 0 && from > 0; j-- {
+			var prev RoundRecord
+			if json.Unmarshal(versions[j].Meta, &prev) == nil && prev.Round == from {
+				rec.Rewards = append(prev.Rewards, rec.Rewards...)
+				rec.DegradedRounds = append(prev.DegradedRounds, rec.DegradedRounds...)
+				from -= len(prev.Rewards)
+			}
+		}
+		return rec, models, firstErr != nil, nil
+	}
+	return RoundRecord{}, nil, false, cmp.Or(firstErr, ErrNoCheckpoint)
+}
+
+// saveCheckpoint puts one round's bundle as a version carrying rec, moves
+// the candidate channel to it, and runs GC(keep).
+func saveCheckpoint(st *modelstore.Store, rec RoundRecord, models []byte, keep int) (modelstore.VersionInfo, error) {
+	meta, err := json.Marshal(rec)
+	if err != nil {
+		return modelstore.VersionInfo{}, err
+	}
+	vi, err := st.Put(models, fmt.Sprintf("fleet round %d", rec.Round), "", meta)
+	if err != nil {
+		return vi, err
+	}
+	if err := st.SetChannel(modelstore.ChannelCandidate, vi.Version); err != nil {
+		return vi, err
+	}
+	_, _ = st.GC(keep) // a failed collection costs disk, never correctness
+	return vi, nil
+}
 
 // Config parameterizes a pre-training fleet.
 type Config struct {
@@ -72,14 +183,14 @@ type Config struct {
 	Rounds  int      // synchronized merge rounds (0 = 1)
 	Episode sim.Time // simulated training time per episode (required)
 
-	Checkpoint      string // checkpoint directory; "" disables checkpointing
+	Checkpoint      string // checkpoint model-store directory; "" disables checkpointing
 	CheckpointEvery int    // write a checkpoint every k rounds (0 = 1)
-	Resume          bool   // continue from Checkpoint's manifest when present
+	Resume          bool   // continue from Checkpoint's newest intact round when present
 
-	// KeepCheckpoints is how many round-stamped bundles are retained on
-	// disk (0 = 3). Resume falls back through them newest-first when the
-	// latest bundle is corrupt, so depth >= 2 survives single-file
-	// corruption.
+	// KeepCheckpoints is the store GC depth after every checkpoint (0 = 3;
+	// pinned channels always survive). Resume falls
+	// back through retained versions newest-first, so depth >= 2 survives
+	// single-object corruption.
 	KeepCheckpoints int
 
 	// AllowWorkerChange permits resuming a checkpoint written with a
@@ -108,24 +219,13 @@ type Config struct {
 	// MinQuorum is the minimum number of successful episodes a round
 	// needs to merge (0 = Workers, i.e. the strict all-or-nothing
 	// behavior). A round merging fewer than Workers bundles is flagged
-	// degraded in RoundStats, the manifest, and telemetry.
+	// degraded in RoundStats, the round record, and telemetry.
 	MinQuorum int
 
 	// Faults, when non-nil, injects deterministic failures for chaos
 	// testing: episode fail/panic/hang at exact (round, worker, attempt)
 	// coordinates and on-disk bundle corruption after checkpoint writes.
 	Faults *FaultPlan
-
-	// Store, when non-nil, receives every written checkpoint bundle as a
-	// new version in the model store, under the StoreChannel channel
-	// (default "candidate") — the bridge from offline pre-training to the
-	// daemon's promote/serve loop. Publishing rides the checkpoint cadence:
-	// no Checkpoint directory, no publishing.
-	Store *modelstore.Store
-
-	// StoreChannel names the channel each published version is pointed at
-	// (default modelstore.ChannelCandidate).
-	StoreChannel string
 
 	// Logf, when non-nil, receives human-readable warnings: retries,
 	// stragglers, degraded rounds, checkpoint fallbacks (nil = silent).
@@ -177,14 +277,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.KeepCheckpoints < 0 {
 		return c, fmt.Errorf("fleet: negative checkpoint retention %d", c.KeepCheckpoints)
 	}
+	c.KeepCheckpoints = cmp.Or(c.KeepCheckpoints, defaultKeepCheckpoints)
 	if c.Resume && c.Checkpoint == "" {
 		return c, fmt.Errorf("fleet: Resume requires a Checkpoint directory")
-	}
-	if c.Store != nil && c.Checkpoint == "" {
-		return c, fmt.Errorf("fleet: Store publishing rides the checkpoint cadence; set a Checkpoint directory")
-	}
-	if c.StoreChannel != "" && c.Store == nil {
-		return c, fmt.Errorf("fleet: StoreChannel set without a Store")
 	}
 	if c.MaxRetries < 0 {
 		return c, fmt.Errorf("fleet: negative retry count %d", c.MaxRetries)
@@ -404,12 +499,15 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 	}
 
 	var res Result
-	var rewards []float64 // per-round mean rewards, for the manifest
+	// Per-round mean rewards and degraded rounds since the last
+	// checkpoint, for the next round record.
+	var rewards []float64
+	var degraded []int
 
 	// Resume, or initialize the global model as the common broadcast base.
 	var global []byte
 	if cfg.Resume {
-		m, models, fellBack, err := LoadCheckpointFallback(cfg.Checkpoint, logf)
+		m, models, fellBack, err := LoadCheckpoint(cfg.Checkpoint, logf)
 		switch {
 		case errors.Is(err, ErrNoCheckpoint):
 			// Nothing to resume; fall through to a fresh start.
@@ -430,7 +528,6 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 					m.Workers, cfg.Workers, m.Workers)
 			}
 			global = models
-			rewards = append(rewards, m.Rewards...)
 			res.ResumedFrom = m.Round
 			res.CumReward = m.CumReward
 			res.Rounds = m.Round
@@ -450,6 +547,12 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 	if global == nil {
 		if global, err = bench.PretrainInit(s); err != nil {
 			return Result{}, fmt.Errorf("fleet: building initial models: %w", err)
+		}
+	}
+	var store *modelstore.Store
+	if cfg.Checkpoint != "" {
+		if store, err = modelstore.Open(cfg.Checkpoint); err != nil {
+			return Result{}, fmt.Errorf("fleet: opening checkpoint store: %w", err)
 		}
 	}
 
@@ -479,8 +582,7 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 	// can checkpoint the last completed round exactly once on the way out.
 	lastCkpt := res.ResumedFrom
 	saveRound := func(round int) error {
-		m := Manifest{
-			Version:        manifestVersion,
+		rec := RoundRecord{
 			Round:          round,
 			Workers:        cfg.Workers,
 			Seed:           s.Seed,
@@ -489,31 +591,18 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 			Rewards:        rewards,
 			Retries:        res.Retries,
 			Stragglers:     res.Stragglers,
-			DegradedRounds: res.DegradedRounds,
+			DegradedRounds: degraded,
 		}
 		start := time.Now()
-		if err := SaveCheckpoint(cfg.Checkpoint, m, global, cfg.KeepCheckpoints); err != nil {
+		vi, err := saveCheckpoint(store, rec, global, cfg.KeepCheckpoints)
+		if err != nil {
 			return err
 		}
 		tm.ckptSec.Observe(time.Since(start).Seconds())
 		tm.ckptBytes.Set(float64(len(global)))
-		lastCkpt = round
-		if cfg.Store != nil {
-			vi, err := cfg.Store.Put(global, fmt.Sprintf("fleet round %d", round), "")
-			if err != nil {
-				return fmt.Errorf("fleet: publishing round %d to the model store: %w", round, err)
-			}
-			channel := cfg.StoreChannel
-			if channel == "" {
-				channel = modelstore.ChannelCandidate
-			}
-			if err := cfg.Store.SetChannel(channel, vi.Version); err != nil {
-				return fmt.Errorf("fleet: publishing round %d to the model store: %w", round, err)
-			}
-			logf("fleet: round %d published as store version %d (%s)", round, vi.Version, channel)
-		}
+		lastCkpt, rewards, degraded = round, nil, nil
 		if cfg.Faults.corruptsBundle(round) {
-			if err := corruptBundleFile(filepath.Join(cfg.Checkpoint, bundleName(round))); err != nil {
+			if err := corruptBundleFile(store.ObjectPath(vi.SHA256)); err != nil {
 				return fmt.Errorf("fleet: injecting bundle corruption: %w", err)
 			}
 			logf("fleet: injected corruption into the round-%d checkpoint bundle", round)
@@ -524,7 +613,7 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 	// (cancellation, quorum failure, merge error) so no finished work is
 	// lost; best-effort by design — the run is already returning an error.
 	finalize := func() {
-		if cfg.Checkpoint == "" || res.Rounds <= lastCkpt {
+		if store == nil || res.Rounds <= lastCkpt {
 			return
 		}
 		if err := saveRound(res.Rounds); err != nil {
@@ -599,6 +688,7 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 		st.Degraded = st.Episodes < cfg.Workers
 		if st.Degraded {
 			res.DegradedRounds = append(res.DegradedRounds, r)
+			degraded = append(degraded, r)
 			tm.degradedRounds.Inc()
 			logf("fleet: round %d degraded: merged %d of %d bundles", r, st.Episodes, cfg.Workers)
 		}
@@ -614,7 +704,7 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 		tm.cumReward.Set(res.CumReward)
 		tm.roundReward.Observe(mean)
 
-		if cfg.Checkpoint != "" && ((r+1)%cfg.CheckpointEvery == 0 || r == cfg.Rounds-1) {
+		if store != nil && ((r+1)%cfg.CheckpointEvery == 0 || r == cfg.Rounds-1) {
 			if err := saveRound(r + 1); err != nil {
 				return res, fmt.Errorf("fleet: round %d checkpoint: %w", r, err)
 			}

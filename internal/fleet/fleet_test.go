@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,12 +125,15 @@ func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 	if !bytes.Equal(res.Models, straight.Models) {
 		t.Fatal("resumed run diverged from the uninterrupted run")
 	}
-	m, models, err := LoadCheckpoint(dir)
+	m, models, _, err := LoadCheckpoint(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Round != 3 || len(m.Rewards) != 3 {
-		t.Fatalf("final manifest round=%d rewards=%d", m.Round, len(m.Rewards))
+		t.Fatalf("final round record round=%d rewards=%d", m.Round, len(m.Rewards))
+	}
+	if sum := m.Rewards[0] + m.Rewards[1] + m.Rewards[2]; sum != m.CumReward {
+		t.Fatalf("rebuilt rewards %v sum to %v, cumulative reward is %v", m.Rewards, sum, m.CumReward)
 	}
 	if !bytes.Equal(models, res.Models) {
 		t.Fatal("checkpointed bundle differs from returned bundle")
@@ -142,13 +147,23 @@ func TestResumeIgnoresTornCheckpointWrite(t *testing.T) {
 	if _, err := Pretrain(s, Config{Workers: 1, Rounds: 1, Episode: episode, Checkpoint: dir}); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a kill mid-checkpoint: a half-written temp file and an
-	// orphan bundle the manifest never came to reference.
-	for _, stray := range []string{"fleet-000002.bundle.tmp", "fleet-000099.bundle", "manifest.json.tmp"} {
+	// Simulate a kill mid-checkpoint: half-written temp files for an
+	// object and a channel pointer, an orphan object the log never came
+	// to reference, and a version-log line cut mid-append.
+	strays := []string{"objects/ab.bundle.tmp", "channels/candidate.tmp", "objects/" + strings.Repeat("0", 64) + ".bundle"}
+	for _, stray := range strays {
 		if err := os.WriteFile(filepath.Join(dir, stray), []byte("torn write"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	log, err := os.OpenFile(filepath.Join(dir, "versions.log"), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.WriteString(`{"version":2,"sha256":"0000`); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
 	res, err := Pretrain(s, Config{Workers: 1, Rounds: 2, Episode: episode, Checkpoint: dir, Resume: true})
 	if err != nil {
 		t.Fatalf("resume after torn checkpoint: %v", err)
@@ -163,12 +178,15 @@ func TestResumeIgnoresTornCheckpointWrite(t *testing.T) {
 	if !bytes.Equal(res.Models, straight.Models) {
 		t.Fatal("torn-checkpoint resume diverged from the uninterrupted run")
 	}
-	// The next successful checkpoint garbage-collects the debris.
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") || e.Name() == "fleet-000099.bundle" {
-			t.Fatalf("stray checkpoint file survived: %s", e.Name())
+	// The next successful checkpoint garbage-collects the debris, and its
+	// log line landed on a clean line boundary past the torn one.
+	for _, stray := range strays {
+		if _, err := os.Stat(filepath.Join(dir, stray)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("stray checkpoint file %s survived (stat err %v)", stray, err)
 		}
+	}
+	if m, _, _, err := LoadCheckpoint(dir, nil); err != nil || m.Round != 2 {
+		t.Fatalf("checkpoint after torn-write resume: round %d, err %v; want round 2", m.Round, err)
 	}
 }
 
@@ -179,13 +197,13 @@ func TestResumeRejectsCorruptedBundle(t *testing.T) {
 	if _, err := Pretrain(s, cfg); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := LoadCheckpoint(dir)
+	st, err := modelstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate the referenced bundle: resume must fail loudly, not train
+	// Truncate the checkpoint's object: resume must fail loudly, not train
 	// from garbage.
-	path := filepath.Join(dir, m.Bundle)
+	path := objectOf(t, st, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +215,16 @@ func TestResumeRejectsCorruptedBundle(t *testing.T) {
 	if _, err := Pretrain(s, cfg); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupted bundle resumed: err = %v", err)
 	}
-	// A corrupted manifest must also fail loudly.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
+	// A corrupted version log must also fail loudly.
+	logPath := filepath.Join(dir, "versions.log")
+	if data, err = os.ReadFile(logPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Pretrain(s, cfg); err == nil {
-		t.Fatal("corrupted manifest resumed")
+	if err := os.WriteFile(logPath, append([]byte("{not json\n"), data...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Pretrain(s, cfg); !errors.Is(err, modelstore.ErrLogCorrupt) {
+		t.Fatalf("corrupted version log resumed: err = %v", err)
 	}
 }
 
@@ -271,28 +293,28 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestFleetPublishesToStore: with a Store configured, every checkpointed
-// round lands in the model store as a new version with the channel tracking
-// the newest one, and the final version's bytes match the run's result.
+// TestFleetPublishesToStore: the checkpoint directory is a model store —
+// it holds only the store layout, every checkpointed round is a version
+// with the candidate channel tracking the newest one, and the final
+// version's bytes match the run's result.
 func TestFleetPublishesToStore(t *testing.T) {
-	store, err := modelstore.Open(t.TempDir())
+	dir := t.TempDir()
+	res, err := Pretrain(testScenario(5), Config{
+		Workers: 1, Rounds: 2, Episode: 2 * sim.Millisecond, Checkpoint: dir,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Pretrain(testScenario(5), Config{
-		Workers:    1,
-		Rounds:     2,
-		Episode:    2 * sim.Millisecond,
-		Checkpoint: t.TempDir(),
-		Store:      store,
-		Logf:       t.Logf,
-	})
+	if got, want := dirNames(t, dir), []string{"channels", "objects", "versions.log"}; !slices.Equal(got, want) {
+		t.Fatalf("checkpoint directory holds %v, want only %v", got, want)
+	}
+	store, err := modelstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	versions := store.Versions()
 	if len(versions) != 2 {
-		t.Fatalf("%d published versions for 2 rounds", len(versions))
+		t.Fatalf("%d store versions for 2 rounds", len(versions))
 	}
 	vi, err := store.Channel(modelstore.ChannelCandidate)
 	if err != nil || vi.Version != versions[len(versions)-1].Version {
@@ -303,15 +325,39 @@ func TestFleetPublishesToStore(t *testing.T) {
 		t.Fatalf("stored final bundle differs from the run result (err %v)", err)
 	}
 	if !strings.Contains(versions[0].Source, "fleet round") {
-		t.Fatalf("published source %q", versions[0].Source)
+		t.Fatalf("version source %q", versions[0].Source)
 	}
+}
 
-	// Store without a checkpoint directory is a config error, not a silent
-	// no-op.
-	if _, err := Pretrain(testScenario(5), Config{Episode: sim.Millisecond, Store: store}); err == nil {
-		t.Fatal("Store without Checkpoint accepted")
+// A fleet can checkpoint into a store that already serves: its GC never
+// collects the serving and previous channels' versions, however shallow.
+func TestFleetKeepsPinnedChannels(t *testing.T) {
+	dir := t.TempDir()
+	store, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Pretrain(testScenario(5), Config{Episode: sim.Millisecond, StoreChannel: "x"}); err == nil {
-		t.Fatal("StoreChannel without Store accepted")
+	for _, ch := range []string{modelstore.ChannelPrevious, modelstore.ChannelServing} {
+		vi, err := store.Put([]byte("bundle on "+ch), "api", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.SetChannel(ch, vi.Version); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Pretrain(testScenario(13), Config{
+		Workers: 1, Rounds: 2, Episode: 2 * sim.Millisecond, Checkpoint: dir, KeepCheckpoints: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	store, err = modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range []string{modelstore.ChannelServing, modelstore.ChannelPrevious, modelstore.ChannelCandidate} {
+		if _, _, err := store.Resolve(ch); err != nil {
+			t.Fatalf("channel %s unresolvable after checkpoint GC(1): %v", ch, err)
+		}
 	}
 }

@@ -10,9 +10,11 @@ package jsonlog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -29,17 +31,22 @@ const maxLineBytes = 1 << 20
 // Append marshals v and appends it to path as one line. The line lands in
 // a single Write call, which keeps the append all-or-nothing on local
 // filesystems; Replay drops a torn tail regardless, so a crash between
-// the open and the write loses at most the entry being written.
+// the open and the write loses at most the entry being written. The line
+// starts at lineBoundary, so it never fuses with an earlier torn tail.
 func Append(path string, v any) error {
 	line, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("jsonlog: marshaling entry: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("jsonlog: %w", err)
 	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
+	end, err := lineBoundary(f)
+	if err == nil {
+		_, err = f.WriteAt(append(line, '\n'), end)
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("jsonlog: appending: %w", err)
 	}
@@ -47,6 +54,30 @@ func Append(path string, v any) error {
 		return fmt.Errorf("jsonlog: %w", err)
 	}
 	return nil
+}
+
+// lineBoundary returns where the next line of f starts. A final fragment
+// without a newline is truncated away, or newline-terminated when it
+// decodes — exactly the tails Replay drops and keeps.
+func lineBoundary(f *os.File) (int64, error) {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return 0, err
+	}
+	last := []byte{0}
+	if _, err := f.ReadAt(last, fi.Size()-1); err != nil || last[0] == '\n' {
+		return fi.Size(), err
+	}
+	data, err := io.ReadAll(io.NewSectionReader(f, 0, fi.Size()))
+	if err != nil {
+		return 0, err
+	}
+	end := int64(bytes.LastIndexByte(data, '\n') + 1)
+	if json.Valid(data[end:]) {
+		_, err := f.WriteAt([]byte{'\n'}, fi.Size())
+		return fi.Size() + 1, err
+	}
+	return end, f.Truncate(end)
 }
 
 // Replay decodes every non-blank line of path into a T and hands it to fn

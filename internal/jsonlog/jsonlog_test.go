@@ -1,6 +1,7 @@
 package jsonlog
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -74,6 +75,30 @@ func TestJournalLogTornTail(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].N != 1 || got[1].N != 2 {
 		t.Fatalf("replayed %+v, want records 1 and 2", got)
+	}
+
+	// The next append cuts the torn fragment off instead of fusing with it
+	// into mid-log damage.
+	if err := Append(path, rec{N: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = replayAll(t, path); err != nil || len(got) != 3 || got[2].N != 4 {
+		t.Fatalf("replay after append past a tear = %+v, %v; want records 1, 2, 4", got, err)
+	}
+	// A final line that lost only its newline decodes, so Replay keeps it;
+	// the next append terminates it rather than dropping it.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _ := json.Marshal(rec{N: 5})
+	f.Write(line)
+	f.Close()
+	if err := Append(path, rec{N: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = replayAll(t, path); err != nil || len(got) != 5 || got[3].N != 5 || got[4].N != 6 {
+		t.Fatalf("replay after append past an unterminated line = %+v, %v; want records 1, 2, 4, 5, 6", got, err)
 	}
 }
 

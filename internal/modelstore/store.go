@@ -1,17 +1,19 @@
 // Package modelstore is the versioned, content-addressed store for model
-// bundles — the persistence layer under the paper's online serving loop
-// (train → eval → promote → serve). It reuses the repo's sha256 manifest
-// discipline (every read verifies the digest recorded at write time) and
-// adds three ideas on top of the fleet's flat checkpoint directory:
+// bundles — the one persistence format for the paper's two phases: the
+// offline pre-training fleet checkpoints every round into a store, and the
+// online serving loop (train → eval → promote → serve) promotes from one.
+// Every read verifies the sha256 recorded at write time, on top of three
+// ideas:
 //
 //   - Content addressing. Bundle bytes live under objects/ named by their
 //     sha256, so identical bundles share storage and a bundle can never be
 //     silently replaced in place — a new model is always a new object.
 //   - An append-only version log. Every Put appends one JSON line to
 //     versions.log with a monotonically increasing version number, the
-//     digest, and where the bundle came from (an API upload, a pretrain
-//     job, a fleet checkpoint round). History is never rewritten; GC
-//     deletes object bytes, not log entries.
+//     digest, where the bundle came from (an API upload, a pretrain job,
+//     a fleet checkpoint round) and optional caller metadata (the fleet's
+//     round record). History is never rewritten; GC deletes object bytes,
+//     not log entries.
 //   - Named channels. A channel (serving, candidate, previous, …) is a
 //     movable pointer to one version, swapped atomically via
 //     write-to-temp + rename. Promotion is "move the serving channel";
@@ -25,15 +27,16 @@
 // distinguish "never existed" from "collected" from "corrupted on disk".
 //
 // A Store is safe for concurrent use by multiple goroutines in one
-// process. Like the fleet checkpoint directory, it assumes a single
-// writing process.
+// process. It assumes a single writing process.
 package modelstore
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -72,6 +75,10 @@ type VersionInfo struct {
 	Source    string    `json:"source,omitempty"` // provenance: "api", "job exp-000001", "fleet round 4", ...
 	Note      string    `json:"note,omitempty"`   // free-form operator annotation
 	CreatedAt time.Time `json:"created_at"`
+
+	// Meta is caller-defined JSON recorded with the version; the fleet
+	// stores its round record here. Absent on versions without one.
+	Meta json.RawMessage `json:"meta,omitempty"`
 }
 
 // Typed store errors, matchable with errors.Is.
@@ -128,7 +135,8 @@ func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) logPath() string { return filepath.Join(s.dir, logName) }
 
-func (s *Store) objectPath(sha string) string {
+// ObjectPath is where the bundle bytes with digest sha live on disk.
+func (s *Store) ObjectPath(sha string) string {
 	return filepath.Join(s.dir, objectsDir, sha+objectSuffix)
 }
 
@@ -141,7 +149,7 @@ func (s *Store) channelPath(name string) string {
 // daemon's job journal); this layer adds the monotonic-version invariant.
 func (s *Store) replayLog() error {
 	err := jsonlog.Replay(s.logPath(), func(line int, v VersionInfo) error {
-		if want := len(s.versions) + 1; v.Version != want || v.SHA256 == "" || v.Bytes <= 0 {
+		if want := len(s.versions) + 1; v.Version != want || !validDigest(v.SHA256) || v.Bytes <= 0 {
 			return fmt.Errorf("%w: line %d records version %d (sha %q, %d bytes), want version %d",
 				ErrLogCorrupt, line, v.Version, v.SHA256, v.Bytes, want)
 		}
@@ -179,6 +187,18 @@ func (s *Store) loadChannels() error {
 	return nil
 }
 
+// validDigest accepts only a lowercase hex sha256, so a logged digest can
+// never name a path outside objects/.
+func validDigest(sha string) bool {
+	return len(sha) == 2*sha256.Size && strings.Trim(sha, "0123456789abcdef") == ""
+}
+
+// Digest is the hex sha256 a store names and verifies bundle bytes by.
+func Digest(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
 func validChannelName(name string) bool {
 	if name == "" {
 		return false
@@ -202,27 +222,26 @@ func atomicWrite(path string, data []byte) error {
 
 // Put records bundle as the next version: the bytes land content-addressed
 // under objects/ (shared if an identical bundle already exists), then one
-// line is appended to the version log. source and note document provenance.
-func (s *Store) Put(bundle []byte, source, note string) (VersionInfo, error) {
+// line is appended to the version log. source and note document provenance;
+// meta (nil = none) is recorded verbatim as VersionInfo.Meta.
+func (s *Store) Put(bundle []byte, source, note string, meta json.RawMessage) (VersionInfo, error) {
 	if len(bundle) == 0 {
 		return VersionInfo{}, ErrEmptyBundle
 	}
-	sum := sha256.Sum256(bundle)
-	sha := hex.EncodeToString(sum[:])
+	sha := Digest(bundle)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	// Object first, log second: a crash between the two leaves an orphan
-	// object (harmless, re-adopted by the next identical Put), never a log
-	// entry whose bytes are missing.
-	objPath := s.objectPath(sha)
-	if _, err := os.Stat(objPath); errors.Is(err, os.ErrNotExist) {
+	// object (re-adopted by the next identical Put, else swept by GC), never
+	// a log entry whose bytes are missing. An existing object is re-adopted
+	// only if it still verifies; a corrupted one is rewritten.
+	objPath := s.ObjectPath(sha)
+	if existing, err := os.ReadFile(objPath); err != nil || Digest(existing) != sha {
 		if err := atomicWrite(objPath, bundle); err != nil {
 			return VersionInfo{}, fmt.Errorf("modelstore: writing object: %w", err)
 		}
-	} else if err != nil {
-		return VersionInfo{}, fmt.Errorf("modelstore: %w", err)
 	}
 
 	info := VersionInfo{
@@ -232,6 +251,7 @@ func (s *Store) Put(bundle []byte, source, note string) (VersionInfo, error) {
 		Source:    source,
 		Note:      note,
 		CreatedAt: time.Now().UTC(),
+		Meta:      meta,
 	}
 	if err := jsonlog.Append(s.logPath(), info); err != nil {
 		return VersionInfo{}, fmt.Errorf("modelstore: appending version log: %w", err)
@@ -268,15 +288,14 @@ func (s *Store) getLocked(version int) (VersionInfo, []byte, error) {
 	if err != nil {
 		return VersionInfo{}, nil, err
 	}
-	bundle, err := os.ReadFile(s.objectPath(info.SHA256))
+	bundle, err := os.ReadFile(s.ObjectPath(info.SHA256))
 	if errors.Is(err, os.ErrNotExist) {
 		return info, nil, fmt.Errorf("%w: version %d (sha256 %.12s…)", ErrBundleGone, version, info.SHA256)
 	}
 	if err != nil {
 		return info, nil, fmt.Errorf("modelstore: %w", err)
 	}
-	sum := sha256.Sum256(bundle)
-	if got := hex.EncodeToString(sum[:]); got != info.SHA256 {
+	if got := Digest(bundle); got != info.SHA256 {
 		return info, nil, fmt.Errorf("%w: version %d object hashes to %.12s…, log says %.12s…",
 			ErrBundleCorrupt, version, got, info.SHA256)
 	}
@@ -354,11 +373,7 @@ func (s *Store) Channel(name string) (VersionInfo, error) {
 func (s *Store) Channels() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.channels))
-	for k, v := range s.channels {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.channels)
 }
 
 // Resolve returns the entry and verified bundle bytes a channel points at.
@@ -377,8 +392,12 @@ func (s *Store) Resolve(name string) (VersionInfo, []byte, error) {
 // version — the serving and last-promoted bundles are therefore
 // undeletable while their channels reference them. An object shared by a
 // retained version (content addressing) survives even when an old version
-// with the same digest is collected. Returns the version numbers whose
-// bytes were removed, ascending.
+// with the same digest is collected. Every other file under objects/ goes
+// too — orphans of a crash between object write and log append, and the
+// *.tmp debris of torn writes, also swept from channels/ (all writes hold
+// the store lock, so none is in flight; a second writing process is
+// unsupported). Returns the version numbers whose bytes were removed: for
+// each removed object, the oldest version naming it, ascending.
 func (s *Store) GC(keep int) ([]int, error) {
 	if keep <= 0 {
 		keep = defaultKeepGC
@@ -397,24 +416,28 @@ func (s *Store) GC(keep int) ([]int, error) {
 	for v := range retained {
 		keepSHA[s.versions[v-1].SHA256] = true
 	}
+	oldest := make(map[string]int, len(s.versions)) // digest -> oldest version naming it
+	for i := len(s.versions) - 1; i >= 0; i-- {
+		oldest[s.versions[i].SHA256] = i + 1
+	}
 
+	files, _ := filepath.Glob(filepath.Join(s.dir, objectsDir, "*"))
+	debris, _ := filepath.Glob(filepath.Join(s.dir, channelsDir, "*.tmp"))
 	var removed []int
 	var firstErr error
-	for i, info := range s.versions {
-		v := i + 1
-		if retained[v] || keepSHA[info.SHA256] {
+	for _, f := range append(files, debris...) {
+		sha := strings.TrimSuffix(filepath.Base(f), objectSuffix)
+		if keepSHA[sha] {
 			continue
 		}
-		err := os.Remove(s.objectPath(info.SHA256))
-		switch {
-		case err == nil:
+		v := oldest[sha]
+		switch err := os.Remove(f); {
+		case err == nil && v > 0:
 			removed = append(removed, v)
-		case errors.Is(err, os.ErrNotExist):
-			// Already collected under an earlier version sharing the digest,
-			// or by a previous GC.
-		case firstErr == nil:
+		case err != nil && v > 0 && firstErr == nil:
 			firstErr = fmt.Errorf("modelstore: removing version %d object: %w", v, err)
 		}
+		// Debris that fails to go costs disk, never correctness.
 	}
 	sort.Ints(removed)
 	return removed, firstErr

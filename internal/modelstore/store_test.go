@@ -11,7 +11,7 @@ import (
 
 func mustPut(t *testing.T, s *Store, bundle []byte, source string) VersionInfo {
 	t.Helper()
-	info, err := s.Put(bundle, source, "")
+	info, err := s.Put(bundle, source, "", nil)
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -25,7 +25,7 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if _, err := s.Put(nil, "api", ""); !errors.Is(err, ErrEmptyBundle) {
+	if _, err := s.Put(nil, "api", "", nil); !errors.Is(err, ErrEmptyBundle) {
 		t.Fatalf("empty Put = %v, want ErrEmptyBundle", err)
 	}
 
@@ -170,17 +170,50 @@ func TestStoreCorruptObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := mustPut(t, s, bundleN(1), "api")
-	if err := os.WriteFile(s.objectPath(info.SHA256), []byte("tampered"), 0o644); err != nil {
+	if err := os.WriteFile(s.ObjectPath(info.SHA256), []byte("tampered"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Get(info.Version); !errors.Is(err, ErrBundleCorrupt) {
 		t.Fatalf("Get(corrupt) = %v, want ErrBundleCorrupt", err)
 	}
-	if err := os.Remove(s.objectPath(info.SHA256)); err != nil {
+	if err := os.Remove(s.ObjectPath(info.SHA256)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Get(info.Version); !errors.Is(err, ErrBundleGone) {
 		t.Fatalf("Get(missing) = %v, want ErrBundleGone", err)
+	}
+}
+
+// TestStorePutRewritesCorruptObject: Put of bytes whose object already
+// exists but has rotted on disk rewrites the object instead of re-adopting
+// it, so the new version reads back — and heals the older one too.
+func TestStorePutRewritesCorruptObject(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := mustPut(t, s, bundleN(1), "api")
+	if err := os.WriteFile(s.ObjectPath(v1.SHA256), []byte("tampered"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v2 := mustPut(t, s, bundleN(1), "api")
+	for _, v := range []int{v1.Version, v2.Version} {
+		if _, bundle, err := s.Get(v); err != nil || string(bundle) != string(bundleN(1)) {
+			t.Fatalf("Get(%d) = %q, %v; want the re-put bytes", v, bundle, err)
+		}
+	}
+}
+
+// TestStoreLogRejectsForeignDigest: a logged digest that is not a sha256
+// hex string (e.g. a path escaping objects/) is log corruption, not a path.
+func TestStoreLogRejectsForeignDigest(t *testing.T) {
+	dir := t.TempDir()
+	line := `{"version":1,"sha256":"../../evil","bytes":4,"created_at":"2024-01-01T00:00:00Z"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); !errors.Is(err, ErrLogCorrupt) {
+		t.Fatalf("Open = %v, want ErrLogCorrupt", err)
 	}
 }
 
@@ -237,9 +270,27 @@ func TestStoreGCRetention(t *testing.T) {
 	if err := s.SetChannel(ChannelPrevious, 2); err != nil {
 		t.Fatal(err)
 	}
+	// Crash debris is swept too: torn atomic writes, and an orphan object
+	// whose log line never landed.
+	orphan := Digest(bundleN(99))
+	strays := []string{
+		filepath.Join(s.Dir(), objectsDir, "torn.bundle.tmp"),
+		filepath.Join(s.Dir(), channelsDir, ChannelServing+".tmp"),
+		s.ObjectPath(orphan),
+	}
+	for _, p := range strays {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	removed, err := s.GC(2)
 	if err != nil {
 		t.Fatalf("GC: %v", err)
+	}
+	for _, p := range strays {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("GC left stray %s (stat err %v)", p, err)
+		}
 	}
 	if want := []int{3, 4}; len(removed) != 2 || removed[0] != want[0] || removed[1] != want[1] {
 		t.Fatalf("GC removed %v, want %v", removed, want)
@@ -316,7 +367,7 @@ func TestStoreConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				info, err := s.Put(bundleN(100+g*20+i), fmt.Sprintf("worker-%d", g), "")
+				info, err := s.Put(bundleN(100+g*20+i), fmt.Sprintf("worker-%d", g), "", nil)
 				if err != nil {
 					errc <- err
 					return

@@ -898,7 +898,7 @@ func TestServeChaosCorruptStoreRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Put(mustBundle(t), "test", ""); err != nil {
+	if _, err := store.Put(mustBundle(t), "test", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(Config{

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,6 +11,7 @@ import (
 
 	"pet/internal/bench"
 	"pet/internal/core"
+	"pet/internal/modelstore"
 	"pet/internal/telemetry"
 	"pet/internal/topo"
 )
@@ -259,10 +258,9 @@ func (s *InferService) buildPool(bundle []byte, version int) (*modelPool, int, [
 	if len(bundle) == 0 {
 		return nil, 0, nil, fmt.Errorf("serve: empty model bundle")
 	}
-	sum := sha256.Sum256(bundle)
 	pool := &modelPool{
 		version:  version,
-		sha:      hex.EncodeToString(sum[:]),
+		sha:      modelstore.Digest(bundle),
 		bundle:   bundle,
 		replicas: make(chan *replica, s.opts.Replicas),
 	}

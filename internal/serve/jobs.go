@@ -2,11 +2,10 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -199,6 +198,14 @@ func (m *Manager) Launch(spec ExperimentSpec) (JobStatus, error) {
 	if _, _, _, err := spec.scenario(); err != nil {
 		return JobStatus{}, err
 	}
+	// A checkpoint directory is a model store with its own writer; pointed
+	// at the daemon's store, two writers would fork one version log.
+	if m.store != nil && spec.Checkpoint != "" {
+		ckpt, _ := filepath.Abs(spec.Checkpoint)
+		if own, _ := filepath.Abs(m.store.Dir()); ckpt == own {
+			return JobStatus{}, fmt.Errorf("serve: checkpoint %q is the daemon's model store; set \"publish\" to land the bundle there", spec.Checkpoint)
+		}
+	}
 
 	m.mu.Lock()
 	if m.closed {
@@ -300,7 +307,7 @@ func (m *Manager) adoptRecord(rj ReplayedJob, state JobState, errMsg string) {
 
 // relaunch restarts an interrupted pretrain job under its original ID, with
 // Resume set so the fleet picks up from its latest readable checkpoint
-// (LoadCheckpointFallback): at most one round of work is lost to the death.
+// (fleet.LoadCheckpoint): at most one round of work is lost to the death.
 func (m *Manager) relaunch(rj ReplayedJob) {
 	spec := rj.Spec
 	spec.Resume = true
@@ -445,7 +452,6 @@ func (m *Manager) runPretrain(ctx context.Context, j *job, spec ExperimentSpec) 
 	}
 	res, err := fleet.PretrainContext(ctx, s, cfg)
 	if res.Rounds > 0 || len(res.Models) > 0 {
-		sum := sha256.Sum256(res.Models)
 		ps := &PretrainSummary{
 			Rounds:         res.Rounds,
 			ResumedFrom:    res.ResumedFrom,
@@ -453,7 +459,7 @@ func (m *Manager) runPretrain(ctx context.Context, j *job, spec ExperimentSpec) 
 			Retries:        res.Retries,
 			DegradedRounds: res.DegradedRounds,
 			ModelBytes:     len(res.Models),
-			ModelSHA256:    hex.EncodeToString(sum[:]),
+			ModelSHA256:    modelstore.Digest(res.Models),
 		}
 		if err == nil && spec.Out != "" {
 			if werr := os.WriteFile(spec.Out, res.Models, 0o644); werr != nil {
@@ -465,7 +471,7 @@ func (m *Manager) runPretrain(ctx context.Context, j *job, spec ExperimentSpec) 
 			if m.store == nil {
 				return errNoStore
 			}
-			vi, perr := m.store.Put(res.Models, "job "+j.status.ID, fmt.Sprintf("pretrain %d rounds", res.Rounds))
+			vi, perr := m.store.Put(res.Models, "job "+j.status.ID, fmt.Sprintf("pretrain %d rounds", res.Rounds), nil)
 			if perr != nil {
 				return fmt.Errorf("serve: publishing bundle: %w", perr)
 			}

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -117,7 +115,7 @@ func (s *Server) resolveRef(ref string) (modelstore.VersionInfo, []byte, error) 
 		return vi, nil, err
 	}
 	bundle = s.cfg.Faults.corruptBundle(bundle)
-	if sum := sha256.Sum256(bundle); hex.EncodeToString(sum[:]) != vi.SHA256 {
+	if modelstore.Digest(bundle) != vi.SHA256 {
 		return vi, nil, fmt.Errorf("serve: version %d read back with the wrong checksum: %w",
 			vi.Version, modelstore.ErrBundleCorrupt)
 	}
@@ -156,7 +154,7 @@ func (s *Server) handleModelIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: empty bundle (POST raw bundle bytes, or ?from=<jobID>)"))
 		return
 	}
-	vi, err := s.store.Put(bundle, source, q.Get("note"))
+	vi, err := s.store.Put(bundle, source, q.Get("note"), nil)
 	if err != nil {
 		s.writeModelError(w, err)
 		return

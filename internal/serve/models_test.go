@@ -544,6 +544,12 @@ func TestModelIngestFromJob(t *testing.T) {
 	if _, stored, err := store.Get(1); err != nil || !bytes.Equal(stored, models) {
 		t.Fatalf("stored bundle differs from the job's: %v", err)
 	}
+	// The daemon's store cannot double as a job's checkpoint store.
+	if _, err := srv.Jobs().Launch(ExperimentSpec{
+		Kind: KindPretrain, Load: 0.5, Seed: 1, Duration: "5ms", Workers: 1, Rounds: 1, Checkpoint: store.Dir(),
+	}); err == nil || !strings.Contains(err.Error(), "publish") {
+		t.Fatalf("pretrain checkpointing into the daemon's store: err = %v", err)
+	}
 
 	// Explicit adoption of the same job: content-addressing dedups the
 	// bytes into a second version sharing one object.

@@ -12,9 +12,8 @@
 //     loaded at startup, over a pool of controller replicas so the policy
 //     hot path stays single-threaded per replica and allocation-free.
 //
-// The package is the scaffold the versioned model-store / hot-swap roadmap
-// item plugs into: bundles already arrive sha256-verified through the
-// fleet's checkpoint manifest machinery.
+// Bundles arrive sha256-verified through the versioned model store, the one
+// persistence format shared with the fleet's checkpoints.
 package serve
 
 import (

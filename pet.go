@@ -647,10 +647,10 @@ func NewInferService(bundle []byte, opts InferOptions) (*InferService, error) {
 }
 
 // LoadFleetCheckpoint reads the newest intact bundle of a fleet checkpoint
-// directory, verified against its manifest's sha256, falling back to older
-// retained rounds when the latest is corrupt. The returned round counts the
-// completed merge rounds the bundle covers. Every candidate skipped during
-// fallback — corrupt manifest, failed checksum, missing bundle — is logged
+// directory — a model store whose versions carry round records — walking
+// the version log newest-first past any version whose bytes fail their
+// sha256 or are gone. The returned round counts the completed merge rounds
+// the bundle covers. Every candidate skipped during fallback is logged
 // through the standard logger with its typed error, so an operator can see
 // why round N was passed over; use LoadFleetCheckpointLogged to redirect or
 // silence that.
@@ -661,7 +661,7 @@ func LoadFleetCheckpoint(dir string) (models []byte, round int, err error) {
 // LoadFleetCheckpointLogged is LoadFleetCheckpoint with an explicit sink
 // for the per-candidate fallback diagnostics (nil = silent).
 func LoadFleetCheckpointLogged(dir string, logf func(format string, a ...any)) (models []byte, round int, err error) {
-	m, models, _, err := fleet.LoadCheckpointFallback(dir, logf)
+	m, models, _, err := fleet.LoadCheckpoint(dir, logf)
 	if err != nil {
 		return nil, 0, err
 	}
