@@ -1,7 +1,7 @@
 # Verification tiers. `make ci` is the full gate; see README.md.
 GO ?= go
 
-.PHONY: build build-examples test test-cli race vet lint bench bench-smoke bench-json bench-serve bench-shard serve-smoke results test-chaos test-pool test-store test-serve-chaos test-shard test-scenario ci
+.PHONY: build build-examples test test-cli race vet lint bench bench-smoke bench-json bench-serve bench-shard serve-smoke results test-chaos test-pool test-store test-serve-chaos test-shard test-scenario fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -106,12 +106,21 @@ test-shard:
 	$(GO) test -race -count=2 -run 'Shard|Partition|Preset|Comparator' ./internal/sim/ ./internal/netsim/ ./internal/topo/ ./internal/bench/
 
 # Scenario tier: the declarative scenario DSL end to end — strict decoding
-# with JSON-path errors, spec round-trip properties, spec-vs-hand-built
-# byte-identity, the named event/workload registries, the canned scenario
-# library goldens, and the -scenario flag in all three CLIs plus petd's
-# embedded-scenario jobs — under the race detector, twice.
+# with JSON-path errors, spec round-trip properties (plus the decoder fuzz
+# target's committed corpus), spec-vs-hand-built byte-identity, the generic
+# name registry and the scheme/event/workload registries on it, the Fig. 6/7
+# golden driven by registered event kinds, unreachable-drop accounting, the
+# canned scenario library goldens, and the -scenario flag in all three CLIs
+# plus petd's embedded-scenario jobs — under the race detector, twice.
 test-scenario:
-	$(GO) test -race -count=2 -run 'Spec|Scenario|Canned|EventKind|CompileEvents|LinkEvent|WithDefaults|ZeroLoad|AllSchemes|Registry' ./internal/bench/ ./internal/serve/ ./internal/workload/ ./cmd/petsim/ ./cmd/pettrain/ ./cmd/petbench/
+	$(GO) test -race -count=2 -run 'Spec|Scenario|Canned|EventKind|LinkEvent|WithDefaults|ZeroLoad|Registry|Fig67Golden|FuzzDecodeScenarioSpec|DropsIncludeUnreachable' ./internal/bench/ ./internal/registry/ ./internal/serve/ ./internal/workload/ ./cmd/petsim/ ./cmd/pettrain/ ./cmd/petbench/
+
+# Fuzz smoke tier: a short coverage-guided pass over the scenario decoder
+# (DecodeScenarioSpec, ToScenario, canonical re-encoding). A crasher lands in
+# internal/bench/testdata/fuzz/ and, once committed, replays in every
+# `go test` run as a regression case.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeScenarioSpec$$' -fuzztime=10s ./internal/bench/
 
 # Sharded-forwarding throughput snapshot: paper-scale fabric (288 hosts) at
 # shards=1/2/NumCPU, merged into BENCH_shard.json. Numbers from a single-CPU
@@ -127,4 +136,4 @@ bench-shard:
 results:
 	$(GO) run ./cmd/petbench -quick -exp all > petbench_results.txt
 
-ci: build build-examples vet lint test test-cli test-pool test-store serve-smoke race test-chaos test-serve-chaos test-shard test-scenario
+ci: build build-examples vet lint test test-cli test-pool test-store serve-smoke race test-chaos test-serve-chaos test-shard test-scenario fuzz-smoke

@@ -13,6 +13,7 @@ import (
 
 	"pet/internal/bench"
 	"pet/internal/sim"
+	"pet/internal/topo"
 	"pet/internal/workload"
 
 	// Register every scheme and transport the harness tests exercise.
@@ -162,53 +163,113 @@ func TestPretrainedModelsLoadable(t *testing.T) {
 	}
 }
 
+// handEvent is a hand-written reference perturbation: a closure scheduled
+// directly on an assembled Env, bypassing the event-kind registry, so tests
+// can check the registered kinds against it.
+type handEvent struct {
+	at    sim.Time
+	apply func(*bench.Env)
+}
+
+// scheduleHand schedules reference perturbations the way RunContext
+// schedules resolved events: on the control lane, each instant a one-off
+// global barrier when the engine is sharded. Call it between NewEnv and Run.
+func scheduleHand(env *bench.Env, evs ...handEvent) {
+	for _, ev := range evs {
+		apply := ev.apply
+		env.Eng.At(ev.at, func() { apply(env) })
+		if env.Sharded != nil {
+			env.Sharded.AddBarrier(ev.at)
+		}
+	}
+}
+
+// pickFabricLinks is the reference link selection of the link events: the
+// first ceil(frac·N) switch-switch links in fabric order, at least one.
+func pickFabricLinks(e *bench.Env, frac float64) []topo.LinkID {
+	all := e.Net.Graph().SwitchLinks()
+	n := int(float64(len(all))*frac + 0.999)
+	if n < 1 {
+		n = 1
+	}
+	if n > len(all) {
+		n = len(all)
+	}
+	return all[:n]
+}
+
 func TestEventsFire(t *testing.T) {
-	fired := false
-	_, err := bench.Run(bench.Scenario{
+	env, err := bench.NewEnv(bench.Scenario{
 		Scheme:   bench.SchemeSECN1,
 		Load:     0.3,
 		Warmup:   2 * sim.Millisecond,
 		Duration: 6 * sim.Millisecond,
-		Events: []bench.Event{{
-			At: 4 * sim.Millisecond,
-			Do: func(e *bench.Env) {
-				fired = true
-				e.Gen.SetWorkload(workload.DataMining(), 0.3)
-			},
-		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fired := false
+	scheduleHand(env, handEvent{4 * sim.Millisecond, func(e *bench.Env) {
+		fired = true
+		e.Gen.SetWorkload(workload.DataMining(), 0.3)
+	}})
+	env.Run()
 	if !fired {
 		t.Fatal("event did not fire")
 	}
 }
 
 func TestLinkFailureEventDisruptsAndRecovers(t *testing.T) {
-	res, err := bench.Run(bench.Scenario{
+	env, err := bench.NewEnv(bench.Scenario{
 		Scheme:       bench.SchemeSECN1,
 		Load:         0.4,
 		Warmup:       2 * sim.Millisecond,
 		Duration:     20 * sim.Millisecond,
 		SeriesWindow: 2 * sim.Millisecond,
-		Events: []bench.Event{
-			{At: 6 * sim.Millisecond, Do: func(e *bench.Env) {
-				e.Net.SetLinksUp(bench.PickFabricLinks(e, 0.3), false)
-			}},
-			{At: 12 * sim.Millisecond, Do: func(e *bench.Env) {
-				e.Net.SetLinksUp(bench.PickFabricLinks(e, 0.3), true)
-			}},
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	scheduleHand(env,
+		handEvent{6 * sim.Millisecond, func(e *bench.Env) {
+			e.Net.SetLinksUp(pickFabricLinks(e, 0.3), false)
+		}},
+		handEvent{12 * sim.Millisecond, func(e *bench.Env) {
+			e.Net.SetLinksUp(pickFabricLinks(e, 0.3), true)
+		}},
+	)
+	res := env.Run()
 	if res.FlowsDone == 0 {
 		t.Fatal("no flows after failure/recovery")
 	}
 	if res.Series["all"] == nil {
 		t.Fatal("series not collected")
+	}
+}
+
+// Packets dropped for want of a route count in Result.Drops alongside the
+// switch-port drops: with every fabric link down, cross-leaf traffic has no
+// path at all.
+func TestDropsIncludeUnreachable(t *testing.T) {
+	env, err := bench.NewEnv(bench.Scenario{
+		Scheme:   bench.SchemeSECN1,
+		Load:     0.4,
+		Warmup:   sim.Millisecond,
+		Duration: 3 * sim.Millisecond,
+		Events: []bench.EventSpec{
+			{At: bench.SimDuration(2 * sim.Millisecond), Kind: "link-down", Fraction: 1},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := env.Run()
+	unreachable := env.Net.DropsUnreachable()
+	if unreachable == 0 {
+		t.Fatal("no unreachable drops with every fabric link down")
+	}
+	if res.Drops < unreachable {
+		t.Fatalf("Result.Drops = %d, below the %d unreachable drops alone", res.Drops, unreachable)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"pet/internal/sim"
-	"pet/internal/topo"
 	"pet/internal/workload"
 )
 
@@ -18,29 +17,40 @@ import (
 // keep the same relative switch points.
 func (r *Runner) dynamicDuration() sim.Time { return 12 * r.Duration / 6 } // 2× the sweep window
 
-// seriesRun executes one long run with time-series collection. mkEvents
-// receives the scheme's actual warmup end so that perturbations land at the
-// same offsets into the measurement window for every scheme (ACC's warmup
-// is extended by its online-only training time).
-func (r *Runner) seriesRun(scheme Scheme, mkEvents func(w sim.Time) []Event, window sim.Time, key string) (Result, error) {
-	cacheKey := "series/" + key + "/" + string(scheme)
-	if res, ok := r.cache[cacheKey]; ok {
+// cachedRun returns the Result cached under key, or builds the canonical
+// WebSearch scenario for scheme at 60% load, lets adjust modify it, runs it
+// and caches the Result under key.
+func (r *Runner) cachedRun(key string, scheme Scheme, adjust func(s *Scenario)) (Result, error) {
+	if res, ok := r.cache[key]; ok {
 		return res, nil
 	}
 	s, err := r.scenario(scheme, workload.WebSearch(), 0.6)
 	if err != nil {
 		return Result{}, err
 	}
-	s.Duration = r.dynamicDuration()
-	s.SeriesWindow = window
-	s.TrainDuringMeasure = true // live adaptation is what Fig. 6/7 measure
-	s.Events = mkEvents(s.Warmup)
+	adjust(&s)
 	res, err := Run(s)
 	if err != nil {
 		return Result{}, err
 	}
-	r.cache[cacheKey] = res
+	r.cache[key] = res
 	return res, nil
+}
+
+// seriesRun executes one long run with time-series collection. Each event's
+// At is an offset into the measurement window: it is shifted by the
+// scheme's actual warmup so perturbations land at the same point for every
+// scheme (ACC's warmup is extended by its online-only training time).
+func (r *Runner) seriesRun(scheme Scheme, events []EventSpec, window sim.Time, key string) (Result, error) {
+	return r.cachedRun("series/"+key+"/"+string(scheme), scheme, func(s *Scenario) {
+		s.Duration = r.dynamicDuration()
+		s.SeriesWindow = window
+		s.TrainDuringMeasure = true // live adaptation is what Fig. 6/7 measure
+		for _, ev := range events {
+			ev.At += SimDuration(s.Warmup)
+			s.Events = append(s.Events, ev)
+		}
+	})
 }
 
 // seriesTable renders one named series (mice/elephant/all) for a scheme set.
@@ -91,18 +101,20 @@ func seriesTable(title, series string, schemes []Scheme, results []Result, windo
 // scheme re-converges.
 func (r *Runner) Fig6() ([]*Table, error) {
 	dur := r.dynamicDuration()
-	mkEvents := func(w sim.Time) []Event {
-		return []Event{
-			{At: w + dur*4/12, Do: func(e *Env) { e.Gen.SetWorkload(workload.DataMining(), 0.6) }},
-			{At: w + dur*8/12, Do: func(e *Env) { e.Gen.SetWorkload(workload.WebSearch(), 0.6) }},
-			{At: w + dur*9/12, Do: func(e *Env) { e.Gen.SetWorkload(workload.DataMining(), 0.6) }},
-		}
+	load := 0.6
+	switchTo := func(at sim.Time, wl string) EventSpec {
+		return EventSpec{At: SimDuration(at), Kind: "workload-switch", Workload: wl, Load: &load}
+	}
+	events := []EventSpec{
+		switchTo(dur*4/12, "datamining"),
+		switchTo(dur*8/12, "websearch"),
+		switchTo(dur*9/12, "datamining"),
 	}
 	window := dur / 12
 	schemes := []Scheme{SchemePET, SchemeACC}
 	var results []Result
 	for _, s := range schemes {
-		res, err := r.seriesRun(s, mkEvents, window, "fig6")
+		res, err := r.seriesRun(s, events, window, "fig6")
 		if err != nil {
 			return nil, err
 		}
@@ -123,23 +135,17 @@ func (r *Runner) Fig7() (*Table, error) {
 	dur := r.dynamicDuration()
 	failOff := dur * 3 / 12
 	restoreOff := dur * 6 / 12
-	mkEvents := func(w sim.Time) []Event {
-		var failed []topo.LinkID
-		return []Event{
-			{At: w + failOff, Do: func(e *Env) {
-				failed = pickFabricLinks(e, 0.10)
-				e.SetLinksUp(failed, false)
-			}},
-			{At: w + restoreOff, Do: func(e *Env) {
-				e.SetLinksUp(failed, true)
-			}},
-		}
+	// link-up selects the same first links in fabric order that link-down
+	// failed, so it restores exactly the failed set.
+	events := []EventSpec{
+		{At: SimDuration(failOff), Kind: "link-down", Fraction: 0.10},
+		{At: SimDuration(restoreOff), Kind: "link-up", Fraction: 0.10},
 	}
 	window := dur / 12
 	schemes := []Scheme{SchemePET, SchemeACC}
 	var results []Result
 	for _, s := range schemes {
-		res, err := r.seriesRun(s, mkEvents, window, "fig7")
+		res, err := r.seriesRun(s, events, window, "fig7")
 		if err != nil {
 			return nil, err
 		}
@@ -149,19 +155,6 @@ func (r *Runner) Fig7() (*Table, error) {
 		"all", schemes, results, window)
 	t.Note("10%% of switch-switch links fail at t=%v, restored at t=%v", failOff, restoreOff)
 	return t, nil
-}
-
-// pickFabricLinks deterministically selects ceil(frac·N) switch-switch links.
-func pickFabricLinks(e *Env, frac float64) []topo.LinkID {
-	all := e.Net.Graph().SwitchLinks()
-	n := int(float64(len(all))*frac + 0.999)
-	if n < 1 {
-		n = 1
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[:n]
 }
 
 // AblationReplayOverhead quantifies Goal 3: ACC's global-replay gossip and
@@ -194,20 +187,13 @@ func (r *Runner) AblationHistoryK() (*Table, error) {
 		Columns: []string{"k", "overall avg nFCT", "mice avg nFCT", "mice p99 nFCT"},
 	}
 	for _, k := range []int{1, 3, 5} {
-		key := fmt.Sprintf("historyk/%d", k)
-		res, ok := r.cache[key]
-		if !ok {
-			s, err := r.scenario(SchemePET, workload.WebSearch(), 0.6)
-			if err != nil {
-				return nil, err
-			}
+		res, err := r.cachedRun(fmt.Sprintf("historyk/%d", k), SchemePET, func(s *Scenario) {
 			s.HistoryK = k
 			s.Models = nil // architecture differs per k; train online from scratch
 			s.Warmup += r.TrainTime
-			if res, err = Run(s); err != nil {
-				return nil, err
-			}
-			r.cache[key] = res
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%d", k),
 			f2(res.Overall.AvgSlowdown), f2(res.MiceBkt.AvgSlowdown), f2(res.MiceBkt.P99Slowdown))
@@ -245,28 +231,15 @@ func (r *Runner) TransportCompat() (*Table, error) {
 		Title:   "Extra — PET across end-host transports (WebSearch @60%)",
 		Columns: []string{"transport", "scheme", "overall avg nFCT", "mice avg nFCT", "queue avg KB"},
 	}
-	ws := workload.WebSearch()
 	for _, tk := range []TransportKind{TransportDCQCN, TransportDCTCP} {
 		for _, scheme := range []Scheme{SchemePET, SchemeSECN1} {
-			key := fmt.Sprintf("compat/%s/%s", tk, scheme)
-			res, ok := r.cache[key]
-			if !ok {
-				s, err := r.scenario(scheme, ws, 0.6)
-				if err != nil {
-					return nil, err
-				}
+			// PET's models are pretrained under DCQCN and deploy unchanged
+			// on the DCTCP fabric — the compatibility claim itself.
+			res, err := r.cachedRun(fmt.Sprintf("compat/%s/%s", tk, scheme), scheme, func(s *Scenario) {
 				s.Transport = tk
-				if scheme == SchemePET {
-					// Models trained under DCQCN deploy unchanged on the
-					// DCTCP fabric — the compatibility claim itself.
-					if s.Models, err = r.pretrained(SchemePET, ws); err != nil {
-						return nil, err
-					}
-				}
-				if res, err = Run(s); err != nil {
-					return nil, err
-				}
-				r.cache[key] = res
+			})
+			if err != nil {
+				return nil, err
 			}
 			t.AddRow(string(tk), string(scheme),
 				f2(res.Overall.AvgSlowdown), f2(res.MiceBkt.AvgSlowdown), f1(res.QueueAvgKB))
@@ -286,20 +259,13 @@ func (r *Runner) AblationCTDE() (*Table, error) {
 		return nil, err
 	}
 
-	key := "ctde/0.6"
-	ctde, ok := r.cache[key]
-	if !ok {
-		s, err := r.scenario(SchemePETCTDE, ws, 0.6)
-		if err != nil {
-			return nil, err
-		}
+	ctde, err := r.cachedRun("ctde/0.6", SchemePETCTDE, func(s *Scenario) {
 		s.Train = true
 		s.Models = nil
 		s.Warmup += r.TrainTime // no pretrained bundle format for CTDE
-		if ctde, err = Run(s); err != nil {
-			return nil, err
-		}
-		r.cache[key] = ctde
+	})
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Title:   "Ablation — DTDE (IPPO) vs CTDE (MAPPO) at 60% load",
@@ -321,21 +287,14 @@ func (r *Runner) AblationRewardBeta() (*Table, error) {
 		Columns: []string{"β1/β2", "mice avg nFCT", "elephant avg nFCT", "queue avg KB"},
 	}
 	for _, b := range [][2]float64{{0.3, 0.7}, {0.7, 0.3}} {
-		key := fmt.Sprintf("beta/%.1f", b[0])
-		res, ok := r.cache[key]
-		if !ok {
-			s, err := r.scenario(SchemePET, workload.WebSearch(), 0.6)
-			if err != nil {
-				return nil, err
-			}
+		res, err := r.cachedRun(fmt.Sprintf("beta/%.1f", b[0]), SchemePET, func(s *Scenario) {
 			s.Beta1, s.Beta2 = b[0], b[1]
 			s.ExplicitBetas = true
 			s.Models = nil
 			s.Warmup += r.TrainTime
-			if res, err = Run(s); err != nil {
-				return nil, err
-			}
-			r.cache[key] = res
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%.1f/%.1f", b[0], b[1]),
 			f2(res.MiceBkt.AvgSlowdown), f2(res.Elephant.AvgSlowdown), f1(res.QueueAvgKB))

@@ -3,21 +3,19 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
+	"pet/internal/registry"
+	"pet/internal/sim"
 	"pet/internal/topo"
 	"pet/internal/workload"
 )
 
-// This file turns scheduled perturbations into data. Historically an Event
-// was an opaque `Do func(*Env)` closure, so every perturbation had to be
-// compiled in; EventSpec is the declarative form scenario specs carry, and a
-// name-keyed registry of event kinds — mirroring the scheme/transport
-// registries — compiles each spec into the closure the engine schedules.
-// The Go-struct API is unchanged: Scenario.Events still holds []Event, and
-// hand-written closures remain first-class; EventSpec.Compile is the adapter
-// from data to that form.
+// This file holds scheduled perturbations as data. A Scenario's Events are
+// EventSpecs; a name-keyed registry of event kinds — one registry.Map, like
+// the scheme and transport registries — turns each spec into the hook that
+// applies it. NewEnv resolves the specs once per Env and RunContext
+// schedules the hooks; RegisterEventKind is the extension point for a Go
+// caller that needs a perturbation no built-in kind expresses.
 
 // EventSpec is the declarative form of one scheduled perturbation. At and
 // Kind are universal; the remaining fields parameterize specific kinds and
@@ -57,42 +55,20 @@ type EventSpec struct {
 	ChunkBytes int64 `json:"chunk_bytes,omitempty"`
 }
 
-// EventBuilder validates an EventSpec of its kind and returns the closure to
-// schedule. Validation errors must describe the offending field; Compile
-// wraps them with the event's position.
+// EventBuilder validates an EventSpec of its kind and returns the hook that
+// applies it to a running Env. Validation errors must describe the offending
+// field; the resolver wraps them with the event's position.
 type EventBuilder func(ev EventSpec) (func(*Env), error)
 
-var (
-	eventMu    sync.RWMutex
-	eventKinds = map[string]EventBuilder{}
-)
+var eventKinds registry.Map[string, EventBuilder]
 
 // RegisterEventKind makes a perturbation kind selectable by name via
 // EventSpec.Kind. It is intended for use from init functions; registering a
 // nil builder, an empty name, or the same name twice panics.
-func RegisterEventKind(kind string, build EventBuilder) {
-	eventMu.Lock()
-	defer eventMu.Unlock()
-	if kind == "" || build == nil {
-		panic("bench: RegisterEventKind with empty kind or nil builder")
-	}
-	if _, dup := eventKinds[kind]; dup {
-		panic(fmt.Sprintf("bench: RegisterEventKind called twice for %q", kind))
-	}
-	eventKinds[kind] = build
-}
+func RegisterEventKind(kind string, build EventBuilder) { eventKinds.Register(kind, build) }
 
 // EventKindNames lists every registered event kind, sorted.
-func EventKindNames() []string {
-	eventMu.RLock()
-	defer eventMu.RUnlock()
-	names := make([]string, 0, len(eventKinds))
-	for n := range eventKinds {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func EventKindNames() []string { return eventKinds.Names() }
 
 // UnknownEventKindError reports an EventSpec naming a kind no package has
 // registered.
@@ -102,38 +78,31 @@ func (e *UnknownEventKindError) Error() string {
 	return fmt.Sprintf("bench: unknown event kind %q (registered: %v)", e.Kind, EventKindNames())
 }
 
-// Compile resolves the spec against the event-kind registry and returns the
-// schedulable Event — the adapter from the data form to the closure form.
-func (ev EventSpec) Compile() (Event, error) {
-	eventMu.RLock()
-	build, ok := eventKinds[ev.Kind]
-	eventMu.RUnlock()
-	if !ok {
-		return Event{}, &UnknownEventKindError{Kind: ev.Kind}
-	}
-	if ev.At < 0 {
-		return Event{}, fmt.Errorf("at %v is negative", ev.At)
-	}
-	do, err := build(ev)
-	if err != nil {
-		return Event{}, err
-	}
-	return Event{At: ev.At.Time(), Do: do}, nil
+// resolvedEvent is an EventSpec bound to its kind's hook.
+type resolvedEvent struct {
+	at    sim.Time
+	apply func(*Env)
 }
 
-// CompileEvents compiles a spec's event list in order. The returned error
-// names the offending index.
-func CompileEvents(evs []EventSpec) ([]Event, error) {
-	if len(evs) == 0 {
-		return nil, nil
-	}
-	out := make([]Event, len(evs))
+// resolveEvents looks every spec's kind up in the event-kind registry and
+// builds its hook, in order. The error is a *SpecError naming events[i] —
+// events[i].kind for an unregistered kind — and wrapping the cause.
+func resolveEvents(evs []EventSpec) ([]resolvedEvent, error) {
+	out := make([]resolvedEvent, len(evs))
 	for i, ev := range evs {
-		compiled, err := ev.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("events[%d]: %w", i, err)
+		path := fmt.Sprintf("events[%d]", i)
+		build, ok := eventKinds.Get(ev.Kind)
+		if !ok {
+			return nil, specWrap(path+".kind", &UnknownEventKindError{Kind: ev.Kind})
 		}
-		out[i] = compiled
+		if ev.At < 0 {
+			return nil, specErr(path, "at %v is negative", ev.At)
+		}
+		apply, err := build(ev)
+		if err != nil {
+			return nil, specWrap(path, err)
+		}
+		out[i] = resolvedEvent{at: ev.At.Time(), apply: apply}
 	}
 	return out, nil
 }
@@ -170,15 +139,12 @@ func (ev EventSpec) requireZero(fields ...string) error {
 // linkSet resolves the deterministic switch-link selection of a link event:
 // the first Links (or ceil(Fraction·N), minimum 1) links in fabric order.
 func (ev EventSpec) linkSet(e *Env) []topo.LinkID {
-	if ev.Links > 0 {
-		all := e.Net.Graph().SwitchLinks()
-		n := ev.Links
-		if n > len(all) {
-			n = len(all)
-		}
-		return all[:n]
+	all := e.Net.Graph().SwitchLinks()
+	n := ev.Links
+	if n == 0 {
+		n = max(int(float64(len(all))*ev.Fraction+0.999), 1)
 	}
-	return pickFabricLinks(e, ev.Fraction)
+	return all[:min(n, len(all))]
 }
 
 func buildLinkEvent(up bool) EventBuilder {

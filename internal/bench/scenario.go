@@ -45,24 +45,11 @@ const (
 	SchemePETCTDE Scheme = "PET-CTDE"
 )
 
-// AllSchemes enumerates every registered scheme, sorted — a registry-backed
-// view that can never drift from what is actually selectable (it is the same
-// list -list-schemes prints and the spec validator accepts).
-func AllSchemes() []Scheme {
-	return SchemeNames()
-}
-
 // ComparedSchemes lists the paper's four compared schemes — the fixed
 // comparison set of the evaluation figures (Sec. 5.4), a paper constant
 // rather than a registry view.
 func ComparedSchemes() []Scheme {
 	return []Scheme{SchemePET, SchemeACC, SchemeSECN1, SchemeSECN2}
-}
-
-// Event is a scheduled perturbation (traffic switch, link failure, …).
-type Event struct {
-	At sim.Time
-	Do func(*Env)
 }
 
 // Scenario fully describes one simulation run.
@@ -112,7 +99,9 @@ type Scenario struct {
 	// HistoryK overrides PET's state history depth (ablation); 0 = default.
 	HistoryK int
 
-	Events []Event
+	// Events are the scheduled perturbations (traffic switches, link
+	// failures, …), each naming a registered event kind.
+	Events []EventSpec
 
 	// SeriesWindow, when nonzero, enables FCT time-series collection.
 	SeriesWindow sim.Time
@@ -222,6 +211,7 @@ type Env struct {
 	flowMeta  map[netsim.FlowID]workload.FlowMeta
 	hostRate  float64
 	queueTick *sim.Ticker
+	events    []resolvedEvent // Scenario.Events bound to their hooks
 }
 
 // idealPathDelay estimates the size-independent part of an idle fabric's
@@ -244,7 +234,8 @@ func (e *Env) idealPathDelay(src, dst topo.NodeID, size int64) sim.Time {
 }
 
 // NewEnv assembles a scenario without running it. An unregistered scheme or
-// transport name yields an *UnknownSchemeError / *UnknownTransportError.
+// transport name yields an *UnknownSchemeError / *UnknownTransportError; an
+// invalid event yields a *SpecError naming events[i].
 func NewEnv(s Scenario) (*Env, error) {
 	s = s.withDefaults()
 	buildTransport, err := transportBuilder(s.Transport)
@@ -252,6 +243,10 @@ func NewEnv(s Scenario) (*Env, error) {
 		return nil, err
 	}
 	buildScheme, err := schemeBuilder(s.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	events, err := resolveEvents(s.Events)
 	if err != nil {
 		return nil, err
 	}
@@ -295,6 +290,7 @@ func NewEnv(s Scenario) (*Env, error) {
 		Series:    map[string]*stats.TimeSeries{},
 		flowMeta:  map[netsim.FlowID]workload.FlowMeta{},
 		hostRate:  s.Topo.HostLinkBps,
+		events:    events,
 	}
 	if s.Trace {
 		e.Trace = trace.NewRecorder(1 << 20)
@@ -406,14 +402,14 @@ func (e *Env) RunContext(ctx context.Context) (Result, error) {
 		ctx = context.Background()
 	}
 	s := e.Scenario
-	for _, ev := range s.Events {
-		ev := ev
-		e.Eng.At(ev.At, func() { ev.Do(e) })
+	for _, ev := range e.events {
+		apply := ev.apply
+		e.Eng.At(ev.at, func() { apply(e) })
 		if e.Sharded != nil {
 			// Perturbations read and write cross-lane state (link flips,
 			// routing recomputes), so each event instant becomes a one-off
 			// global barrier and the hook runs in the serial merge.
-			e.Sharded.AddBarrier(ev.At)
+			e.Sharded.AddBarrier(ev.at)
 		}
 	}
 	// Queue sampling at a fine cadence, mirroring the paper's Table I.
@@ -502,7 +498,9 @@ type Result struct {
 }
 
 func (e *Env) result() Result {
-	var drops uint64
+	// Switch-port overflow and link-down drops, plus packets dropped for
+	// want of a route (a partitioned fabric after link failures).
+	drops := e.Net.DropsUnreachable()
 	for _, p := range e.Net.SwitchPorts() {
 		st := p.Stats()
 		drops += st.DropsOverflow + st.DropsLinkDown

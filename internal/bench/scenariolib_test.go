@@ -44,7 +44,7 @@ func libraryFiles(t *testing.T) map[string]string {
 
 // summarize renders the materialized scenario in a stable textual form — the
 // golden content. It reads both the document (for event kinds) and the
-// compiled Scenario (for resolved defaults), so either drifting trips the
+// materialized Scenario (for resolved defaults), so either drifting trips the
 // golden.
 func summarize(sp *bench.ScenarioSpec, s bench.Scenario) string {
 	d := s.WithDefaults()

@@ -14,8 +14,8 @@ import (
 
 // shardScenario is the fixed workload the cross-shard determinism suite
 // replays at every lane count: PET training online, tracing on, and a
-// mid-run link failure so the perturbation path (one-off barriers,
-// routing recompute) is exercised too.
+// mid-run link failure (shardEvents) so the perturbation path (one-off
+// barriers, routing recompute) is exercised too.
 func shardScenario(shards int) bench.Scenario {
 	return bench.Scenario{
 		Scheme:   bench.SchemePET,
@@ -26,15 +26,16 @@ func shardScenario(shards int) bench.Scenario {
 		Duration: 4 * sim.Millisecond,
 		Trace:    true,
 		Shards:   shards,
-		Events: []bench.Event{
-			{At: 3 * sim.Millisecond, Do: func(e *bench.Env) {
-				e.SetLinksUp([]topo.LinkID{e.LS.Graph.Links[0].ID}, false)
-			}},
-			{At: 4 * sim.Millisecond, Do: func(e *bench.Env) {
-				e.SetLinksUp([]topo.LinkID{e.LS.Graph.Links[0].ID}, true)
-			}},
-		},
 	}
+}
+
+var shardEvents = []handEvent{
+	{3 * sim.Millisecond, func(e *bench.Env) {
+		e.SetLinksUp([]topo.LinkID{e.LS.Graph.Links[0].ID}, false)
+	}},
+	{4 * sim.Millisecond, func(e *bench.Env) {
+		e.SetLinksUp([]topo.LinkID{e.LS.Graph.Links[0].ID}, true)
+	}},
 }
 
 func runShardScenario(t *testing.T, shards int) (bench.Result, []byte) {
@@ -53,6 +54,7 @@ func runShardScenario(t *testing.T, shards int) (bench.Result, []byte) {
 	} else if env.Sharded != nil {
 		t.Fatalf("shards=%d: unexpected sharded engine", shards)
 	}
+	scheduleHand(env, shardEvents...)
 	res := env.Run()
 	var buf bytes.Buffer
 	if err := env.Trace.WriteCSV(&buf); err != nil {

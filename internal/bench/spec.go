@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -76,15 +75,31 @@ func (d *SimDuration) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return fmt.Errorf("want a duration string like \"20ms\"")
 	}
-	dur, err := time.ParseDuration(s)
+	dur, err := parseSimDuration(s)
 	if err != nil {
-		return fmt.Errorf("bad duration %q", s)
+		return err
 	}
-	if dur < 0 {
-		return fmt.Errorf("negative duration %q", s)
-	}
-	*d = SimDuration(sim.Time(dur.Nanoseconds()) * sim.Nanosecond)
+	*d = dur
 	return nil
+}
+
+// maxSimDuration is the longest duration a sim.Time (int64 picoseconds)
+// holds, about 106 days.
+const maxSimDuration = time.Duration(math.MaxInt64 / int64(sim.Nanosecond))
+
+// parseSimDuration parses a document duration string, rejecting negative
+// durations and durations beyond sim.Time's range.
+func parseSimDuration(s string) (SimDuration, error) {
+	dur, err := time.ParseDuration(s)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("bad duration %q", s)
+	case dur < 0:
+		return 0, fmt.Errorf("negative duration %q", s)
+	case dur > maxSimDuration:
+		return 0, fmt.Errorf("duration %q exceeds the simulator's range of %v", s, maxSimDuration)
+	}
+	return SimDuration(sim.Time(dur.Nanoseconds()) * sim.Nanosecond), nil
 }
 
 // TopoSpec selects a fabric: a named preset (default "tiny") with optional
@@ -250,6 +265,14 @@ func DecodeScenarioSpec(data []byte) (*ScenarioSpec, error) {
 	if spec.Version > SpecVersion {
 		return nil, specErr("version", "document version %d is newer than this binary's %d", spec.Version, SpecVersion)
 	}
+	// An empty list means what an absent one does. Decoding both to nil
+	// keeps every decoded document a fixed point of Decode∘Encode.
+	if len(spec.Events) == 0 {
+		spec.Events = nil
+	}
+	if spec.Workload != nil && len(spec.Workload.Points) == 0 {
+		spec.Workload.Points = nil
+	}
 	return &spec, nil
 }
 
@@ -352,17 +375,11 @@ func (sp *ScenarioSpec) ToScenario() (Scenario, error) {
 	}
 	s.Shards = sp.Shards
 
-	for i, ev := range sp.Events {
-		compiled, err := ev.Compile()
-		if err != nil {
-			path := fmt.Sprintf("events[%d]", i)
-			var unknown *UnknownEventKindError
-			if errors.As(err, &unknown) {
-				path += ".kind"
-			}
-			return s, specWrap(path, err)
-		}
-		s.Events = append(s.Events, compiled)
+	// NewEnv resolves the events again against the same registry; doing it
+	// here too makes a bad event a decode-time error.
+	if _, err := resolveEvents(sp.Events); err != nil {
+		return s, err
 	}
+	s.Events = append([]EventSpec(nil), sp.Events...)
 	return s, nil
 }

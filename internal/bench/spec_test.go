@@ -32,6 +32,7 @@ func TestSpecDecodeErrors(t *testing.T) {
 		{"wrong type topo", `{"topo": 3}`, "topo: want an object"},
 		{"bad duration", `{"warmup": "fast"}`, `warmup: bad duration "fast"`},
 		{"negative duration", `{"duration": "-1ms"}`, `duration: negative duration "-1ms"`},
+		{"duration beyond sim.Time", `{"events": [{"at": "2562047h", "kind": "link-down", "links": 1}]}`, `events[0].at: duration "2562047h" exceeds`},
 		{"duration not string", `{"warmup": 20}`, "warmup: want a duration string"},
 		{"betas arity", `{"betas": [0.3]}`, "betas: want an array of 2 elements"},
 		{"newer version", `{"version": 99}`, "version: document version 99 is newer"},
@@ -232,13 +233,14 @@ func TestSpecRoundTripProperty(t *testing.T) {
 
 // runTraced executes a scenario with tracing on and returns the result plus
 // the trace CSV bytes.
-func runTraced(t *testing.T, s bench.Scenario) (bench.Result, string) {
+func runTraced(t *testing.T, s bench.Scenario, hand ...handEvent) (bench.Result, string) {
 	t.Helper()
 	s.Trace = true
 	env, err := bench.NewEnv(s)
 	if err != nil {
 		t.Fatalf("NewEnv: %v", err)
 	}
+	scheduleHand(env, hand...)
 	res := env.Run()
 	var buf bytes.Buffer
 	if err := env.Trace.WriteCSV(&buf); err != nil {
@@ -247,7 +249,7 @@ func runTraced(t *testing.T, s bench.Scenario) (bench.Result, string) {
 	return res, buf.String()
 }
 
-func assertIdenticalRuns(t *testing.T, doc string, hand bench.Scenario) {
+func assertIdenticalRuns(t *testing.T, doc string, hand bench.Scenario, handEvents ...handEvent) {
 	t.Helper()
 	spec, err := bench.DecodeScenarioSpec([]byte(doc))
 	if err != nil {
@@ -258,7 +260,7 @@ func assertIdenticalRuns(t *testing.T, doc string, hand bench.Scenario) {
 		t.Fatalf("ToScenario: %v", err)
 	}
 	specRes, specTrace := runTraced(t, fromSpec)
-	handRes, handTrace := runTraced(t, hand)
+	handRes, handTrace := runTraced(t, hand, handEvents...)
 	if !reflect.DeepEqual(specRes, handRes) {
 		t.Errorf("results diverge:\n spec %+v\n hand %+v", specRes, handRes)
 	}
@@ -312,18 +314,17 @@ func TestSpecRunMatchesHandBuiltWithEvents(t *testing.T) {
 		Beta1:  0.3, Beta2: 0.7, ExplicitBetas: true,
 		Warmup: 200 * sim.Microsecond, ExplicitWarmup: true,
 		Duration: 800 * sim.Microsecond,
-		Events: []bench.Event{
-			{At: 300 * sim.Microsecond, Do: func(e *bench.Env) {
-				e.SetLinksUp(bench.PickFabricLinks(e, 0.5), false)
-			}},
-			{At: 500 * sim.Microsecond, Do: func(e *bench.Env) {
-				e.Gen.SetWorkload(e.Gen.Config().CDF, 0.2)
-			}},
-			{At: 700 * sim.Microsecond, Do: func(e *bench.Env) {
-				e.Gen.Burst(2, 3, 32768)
-			}},
-		},
-	})
+	},
+		handEvent{300 * sim.Microsecond, func(e *bench.Env) {
+			e.SetLinksUp(pickFabricLinks(e, 0.5), false)
+		}},
+		handEvent{500 * sim.Microsecond, func(e *bench.Env) {
+			e.Gen.SetWorkload(e.Gen.Config().CDF, 0.2)
+		}},
+		handEvent{700 * sim.Microsecond, func(e *bench.Env) {
+			e.Gen.Burst(2, 3, 32768)
+		}},
+	)
 }
 
 func TestSpecRunMatchesHandBuiltSharded(t *testing.T) {
@@ -442,14 +443,10 @@ func TestZeroLoadEventOnlyScenario(t *testing.T) {
 	}
 }
 
-// --- satellite: AllSchemes is registry-backed ---
+// --- ComparedSchemes is the paper's fixed set, not a registry view ---
 
-func TestAllSchemesRegistryBacked(t *testing.T) {
-	all := bench.AllSchemes()
-	names := bench.SchemeNames()
-	if !reflect.DeepEqual(all, names) {
-		t.Fatalf("AllSchemes() = %v, SchemeNames() = %v", all, names)
-	}
+func TestComparedSchemesRegistry(t *testing.T) {
+	all := bench.SchemeNames()
 	// The registry view includes schemes beyond the paper's comparison set.
 	if len(all) <= len(bench.ComparedSchemes()) {
 		t.Fatalf("registry lists %d schemes, want more than the %d compared", len(all), len(bench.ComparedSchemes()))
@@ -469,42 +466,59 @@ func TestEventKindNames(t *testing.T) {
 	}
 }
 
-func TestCompileEventsNamesIndex(t *testing.T) {
-	_, err := bench.CompileEvents([]bench.EventSpec{
-		{At: bench.SimDuration(sim.Millisecond), Kind: "load-change", Load: f64Ptr(0.5)},
-		{At: bench.SimDuration(sim.Millisecond), Kind: "nope"},
-	})
-	if err == nil || !strings.Contains(err.Error(), "events[1]") {
-		t.Fatalf("error %v does not name events[1]", err)
+// NewEnv and ToScenario resolve events through the same registry lookup and
+// name the offending index the same way: events[i].kind for an unregistered
+// kind (wrapping *UnknownEventKindError), events[i] for a bad parameter.
+func TestEventKindErrorsNameIndex(t *testing.T) {
+	at := bench.SimDuration(sim.Millisecond)
+	ok := bench.EventSpec{At: at, Kind: "load-change", Load: f64Ptr(0.5)}
+	cases := []struct {
+		bad     bench.EventSpec
+		path    string
+		unknown bool
+	}{
+		{bench.EventSpec{At: at, Kind: "nope"}, "events[1].kind", true},
+		{bench.EventSpec{At: at, Kind: "link-down"}, "events[1]", false},
+	}
+	for _, tc := range cases {
+		events := []bench.EventSpec{ok, tc.bad}
+		_, envErr := bench.NewEnv(bench.Scenario{Events: events})
+		_, specErr := (&bench.ScenarioSpec{Events: events}).ToScenario()
+		for name, err := range map[string]error{"NewEnv": envErr, "ToScenario": specErr} {
+			var se *bench.SpecError
+			if !errors.As(err, &se) || se.Path != tc.path {
+				t.Errorf("%s(%s): error %v, want a *SpecError at %s", name, tc.bad.Kind, err, tc.path)
+			}
+			var unknown *bench.UnknownEventKindError
+			if errors.As(err, &unknown) != tc.unknown {
+				t.Errorf("%s(%s): wraps *UnknownEventKindError = %v, want %v", name, tc.bad.Kind, !tc.unknown, tc.unknown)
+			}
+		}
 	}
 }
 
 // Deterministic link selection: link-up restores exactly what link-down
 // failed, so a down/up pair leaves the fabric fully connected.
 func TestLinkEventSelectionDeterministic(t *testing.T) {
-	down, err := (bench.EventSpec{At: 0, Kind: "link-down", Fraction: 0.5}).Compile()
-	if err != nil {
-		t.Fatalf("compile down: %v", err)
-	}
-	up, err := (bench.EventSpec{At: 0, Kind: "link-up", Fraction: 0.5}).Compile()
-	if err != nil {
-		t.Fatalf("compile up: %v", err)
-	}
 	env, err := bench.NewEnv(bench.Scenario{Topo: topo.SmallScale(), Duration: sim.Millisecond})
 	if err != nil {
 		t.Fatalf("NewEnv: %v", err)
 	}
-	picked := bench.PickFabricLinks(env, 0.5)
+	picked := pickFabricLinks(env, 0.5)
 	if len(picked) == 0 {
 		t.Fatal("no links picked")
 	}
-	down.Do(env)
+	if err := (bench.EventSpec{Kind: "link-down", Fraction: 0.5}).Apply(env); err != nil {
+		t.Fatalf("link-down: %v", err)
+	}
 	for _, l := range picked {
 		if env.Net.Graph().Link(l).Up {
 			t.Fatalf("link %v still up after link-down", l)
 		}
 	}
-	up.Do(env)
+	if err := (bench.EventSpec{Kind: "link-up", Fraction: 0.5}).Apply(env); err != nil {
+		t.Fatalf("link-up: %v", err)
+	}
 	for _, l := range env.Net.Graph().SwitchLinks() {
 		if !env.Net.Graph().Link(l).Up {
 			t.Fatalf("link %v down after link-up restored the failed set", l)

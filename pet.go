@@ -290,9 +290,6 @@ type (
 	Table = bench.Table
 	// Scheme selects the ECN control strategy under test.
 	Scheme = bench.Scheme
-	// Event is a scheduled mid-run perturbation (the compiled closure form;
-	// EventSpec is the declarative form).
-	Event = bench.Event
 )
 
 // Scenario DSL: a versioned JSON document (ScenarioSpec) describes one
@@ -306,9 +303,10 @@ type (
 	TopoSpec = bench.TopoSpec
 	// WorkloadSpec selects a registered or inline-custom workload.
 	WorkloadSpec = bench.WorkloadSpec
-	// EventSpec is the declarative form of one scheduled perturbation.
+	// EventSpec is one scheduled perturbation (Scenario.Events holds them).
 	EventSpec = bench.EventSpec
-	// EventBuilder compiles an EventSpec of a registered kind.
+	// EventBuilder validates an EventSpec of a registered kind and returns
+	// the hook that applies it.
 	EventBuilder = bench.EventBuilder
 	// SimDuration is simulated time in a document ("20ms").
 	SimDuration = bench.SimDuration
@@ -339,9 +337,9 @@ func LoadScenarioFile(path string) (*ScenarioSpec, error) {
 }
 
 // RegisterEventKind makes a perturbation kind selectable by name via
-// EventSpec.Kind — the event mirror of RegisterScheme. The built-ins
-// register link-down, link-up, load-change, workload-switch and
-// incast-burst.
+// EventSpec.Kind — the event mirror of RegisterScheme, and the one way to
+// add a custom perturbation. The built-ins register link-down, link-up,
+// load-change, workload-switch and incast-burst.
 func RegisterEventKind(kind string, build EventBuilder) { bench.RegisterEventKind(kind, build) }
 
 // EventKindNames lists every registered event kind, sorted.
@@ -387,12 +385,8 @@ func RegisterTransport(name TransportKind, build TransportBuilder) {
 // SchemeNames lists every registered scheme, sorted.
 func SchemeNames() []Scheme { return bench.SchemeNames() }
 
-// AllSchemes is the registry-backed enumeration of every selectable scheme
-// (identical to SchemeNames); ComparedSchemes is the paper's fixed
-// four-scheme comparison set the figures use.
-func AllSchemes() []Scheme { return bench.AllSchemes() }
-
-// ComparedSchemes lists the paper's four compared schemes.
+// ComparedSchemes lists the paper's four compared schemes — the fixed
+// comparison set the figures use (SchemeNames lists every selectable one).
 func ComparedSchemes() []Scheme { return bench.ComparedSchemes() }
 
 // TransportNames lists every registered transport, sorted.
