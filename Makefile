@@ -110,17 +110,23 @@ test-shard:
 # target's committed corpus), spec-vs-hand-built byte-identity, the generic
 # name registry and the scheme/event/workload registries on it, the Fig. 6/7
 # golden driven by registered event kinds, unreachable-drop accounting, the
-# canned scenario library goldens, and the -scenario flag in all three CLIs
-# plus petd's embedded-scenario jobs — under the race detector, twice.
+# canned scenario library goldens, the -scenario flag in all three CLIs
+# plus petd's embedded-scenario jobs, the one-front-door oracles (petsim's
+# flag golden, petd's flat-spec reference) and out-of-range rejection at
+# every surface (NewEnv, CLI flags, job fields, gate overrides, the job-spec
+# fuzz corpus) — under the race detector, twice.
 test-scenario:
-	$(GO) test -race -count=2 -run 'Spec|Scenario|Canned|EventKind|LinkEvent|WithDefaults|ZeroLoad|Registry|Fig67Golden|FuzzDecodeScenarioSpec|DropsIncludeUnreachable' ./internal/bench/ ./internal/registry/ ./internal/serve/ ./internal/workload/ ./cmd/petsim/ ./cmd/pettrain/ ./cmd/petbench/
+	$(GO) test -race -count=2 -run 'Spec|Scenario|Canned|EventKind|LinkEvent|WithDefaults|ZeroLoad|Registry|Fig67Golden|FuzzDecodeScenarioSpec|DropsIncludeUnreachable|Oracle|NewEnvRejects|OutOfRange|LaunchValidation|BadGateOverride|FuzzExperimentSpec' ./internal/bench/ ./internal/registry/ ./internal/serve/ ./internal/workload/ ./cmd/petsim/ ./cmd/pettrain/ ./cmd/petbench/
 
-# Fuzz smoke tier: a short coverage-guided pass over the scenario decoder
-# (DecodeScenarioSpec, ToScenario, canonical re-encoding). A crasher lands in
-# internal/bench/testdata/fuzz/ and, once committed, replays in every
+# Fuzz smoke tier: short coverage-guided passes over the scenario decoder
+# (DecodeScenarioSpec, ToScenario, canonical re-encoding) and petd's job-spec
+# path (strict body decoding, launch validation, scenario resolution, NewEnv
+# assembly). A crasher lands in internal/bench/testdata/fuzz/ or
+# internal/serve/testdata/fuzz/ and, once committed, replays in every
 # `go test` run as a regression case.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeScenarioSpec$$' -fuzztime=10s ./internal/bench/
+	$(GO) test -run '^$$' -fuzz '^FuzzExperimentSpec$$' -fuzztime=10s ./internal/serve/
 
 # Sharded-forwarding throughput snapshot: paper-scale fabric (288 hosts) at
 # shards=1/2/NumCPU, merged into BENCH_shard.json. Numbers from a single-CPU

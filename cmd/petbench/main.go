@@ -106,20 +106,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatalf(2, "%v", err)
 		}
+		if visited["seed"] {
+			spec.Seed = *seed
+		}
+		if visited["shards"] {
+			spec.Shards = *shards
+		}
+		if *quick {
+			warmup, duration := pet.SimDuration(5*pet.Millisecond), pet.SimDuration(15*pet.Millisecond)
+			spec.Warmup, spec.Duration = &warmup, &duration
+		}
 		s, err := spec.ToScenario()
 		if err != nil {
 			return fatalf(2, "%v", err)
-		}
-		if visited["seed"] {
-			s.Seed = *seed
-		}
-		if visited["shards"] {
-			s.Shards = *shards
-		}
-		if *quick {
-			s.Warmup = 5 * pet.Millisecond
-			s.ExplicitWarmup = true
-			s.Duration = 15 * pet.Millisecond
 		}
 		s.Telemetry = tf.Registry
 		title := spec.Name

@@ -26,62 +26,87 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// options holds the flags run reads itself. The scenario flags (-scheme,
+// -load, -topo, …) are read by name when pet.ScenarioFromFlags resolves
+// the command line into a scenario document.
+type options struct {
+	scenario, topo, workload, models, trace *string
+	load                                    *float64
+	shards                                  *int
+	listS, listT, listW, listE, version     *bool
+	telemetry                               pet.TelemetryFlag
+}
+
+func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("petsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		scenarioF  = fs.String("scenario", "", "load a scenario document (JSON); explicitly-set flags override its fields")
-		schemeF    = fs.String("scheme", "PET", "registered scheme name (see -list-schemes)")
-		transportF = fs.String("transport", "dcqcn", "registered end-host transport (see -list-transports)")
-		topoF      = fs.String("topo", "tiny", "fabric preset: "+strings.Join(pet.TopoPresets(), "|"))
-		spines     = fs.Int("spines", 0, "override the preset's spine count")
-		leaves     = fs.Int("leaves", 0, "override the preset's leaf count")
-		hosts      = fs.Int("hosts", 0, "override the preset's hosts per leaf")
-		shards     = fs.Int("shards", 1, "event-loop shards (0 = one per CPU, 1 = single loop)")
-		wlF        = fs.String("workload", "websearch", "registered workload name: "+strings.Join(pet.WorkloadNames(), "|"))
-		load       = fs.Float64("load", 0.6, "offered load fraction (0,1]")
-		incast     = fs.Float64("incast", 0.2, "fraction of load delivered as incast groups")
-		fanIn      = fs.Int("fanin", 3, "senders per incast group")
-		train      = fs.Bool("train", true, "online incremental training (learned schemes)")
-		models     = fs.String("models", "", "PET model bundle from pettrain")
-		warmup     = fs.Duration("warmup", 20*time.Millisecond, "simulated warmup before measurement")
-		dur        = fs.Duration("duration", 60*time.Millisecond, "simulated measurement window")
-		seed       = fs.Int64("seed", 1, "root random seed")
-		traceF     = fs.String("trace", "", "write an event trace CSV to this path")
-		listS      = fs.Bool("list-schemes", false, "print the registered scheme names and exit")
-		listT      = fs.Bool("list-transports", false, "print the registered transport names and exit")
-		listW      = fs.Bool("list-workloads", false, "print the registered workload names and exit")
-		listE      = fs.Bool("list-events", false, "print the registered event kinds and exit")
-		version    = fs.Bool("version", false, "print the build identity and exit")
-	)
-	var tf pet.TelemetryFlag
-	tf.Register(fs)
+	o := &options{
+		scenario: fs.String("scenario", "", "load a scenario document (JSON); explicitly-set flags override its fields"),
+		topo:     fs.String("topo", "tiny", "fabric preset: "+strings.Join(pet.TopoPresets(), "|")),
+		shards:   fs.Int("shards", 1, "event-loop shards (0 = one per CPU, 1 = single loop)"),
+		workload: fs.String("workload", "websearch", "registered workload name: "+strings.Join(pet.WorkloadNames(), "|")),
+		load:     fs.Float64("load", 0.6, "offered load fraction (0,1]"),
+		models:   fs.String("models", "", "PET model bundle from pettrain"),
+		trace:    fs.String("trace", "", "write an event trace CSV to this path"),
+		listS:    fs.Bool("list-schemes", false, "print the registered scheme names and exit"),
+		listT:    fs.Bool("list-transports", false, "print the registered transport names and exit"),
+		listW:    fs.Bool("list-workloads", false, "print the registered workload names and exit"),
+		listE:    fs.Bool("list-events", false, "print the registered event kinds and exit"),
+		version:  fs.Bool("version", false, "print the build identity and exit"),
+	}
+	fs.String("scheme", "PET", "registered scheme name (see -list-schemes)")
+	fs.String("transport", "dcqcn", "registered end-host transport (see -list-transports)")
+	fs.Int("spines", 0, "override the preset's spine count")
+	fs.Int("leaves", 0, "override the preset's leaf count")
+	fs.Int("hosts", 0, "override the preset's hosts per leaf")
+	fs.Float64("incast", 0.2, "fraction of load delivered as incast groups")
+	fs.Int("fanin", 3, "senders per incast group")
+	fs.Bool("train", true, "online incremental training (learned schemes)")
+	fs.Duration("warmup", 20*time.Millisecond, "simulated warmup before measurement")
+	fs.Duration("duration", 60*time.Millisecond, "simulated measurement window")
+	fs.Int64("seed", 1, "root random seed")
+	o.telemetry.Register(fs)
+	return fs, o
+}
+
+// resolve turns the parsed command line into the run's scenario: the
+// -scenario document (or, without one, every flag's value) with the
+// explicitly-set flags written over it, -shards 0 meaning one per CPU.
+func (o *options) resolve(fs *flag.FlagSet) (*pet.ScenarioSpec, pet.Scenario, error) {
+	if *o.shards == 0 {
+		*o.shards = runtime.NumCPU()
+	}
+	return pet.ScenarioFromFlags(fs, *o.scenario, pet.ScenarioSpec{})
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs, o := newFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *version {
+	if *o.version {
 		fmt.Fprintln(stdout, pet.ReadBuildInfo())
 		return 0
 	}
-	if *listS {
+	if *o.listS {
 		for _, name := range pet.SchemeNames() {
 			fmt.Fprintln(stdout, name)
 		}
 		return 0
 	}
-	if *listT {
+	if *o.listT {
 		for _, name := range pet.TransportNames() {
 			fmt.Fprintln(stdout, name)
 		}
 		return 0
 	}
-	if *listW {
+	if *o.listW {
 		for _, name := range pet.WorkloadNames() {
 			fmt.Fprintln(stdout, name)
 		}
 		return 0
 	}
-	if *listE {
+	if *o.listE {
 		for _, name := range pet.EventKindNames() {
 			fmt.Fprintln(stdout, name)
 		}
@@ -93,100 +118,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// With -scenario the document is the base configuration and only flags
-	// the user explicitly set override it; without, every flag applies.
-	visited := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { visited[f.Name] = true })
-	set := func(name string) bool { return *scenarioF == "" || visited[name] }
-
-	var s pet.Scenario
-	runLabel := *wlF
-	if *scenarioF != "" {
-		spec, err := pet.LoadScenarioFile(*scenarioF)
-		if err != nil {
-			return fatalf("%v", err)
-		}
-		if s, err = spec.ToScenario(); err != nil {
-			return fatalf("%v", err)
-		}
-		runLabel = spec.Name
-		if runLabel == "" {
-			runLabel = *scenarioF
-		}
-	}
-	if set("seed") {
-		s.Seed = *seed
-	}
-	if set("load") {
-		s.Load = *load
-		s.ExplicitLoad = true
-	}
-	if set("incast") {
-		s.IncastFraction = *incast
-	}
-	if set("fanin") {
-		s.IncastFanIn = *fanIn
-	}
-	if set("scheme") {
-		s.Scheme = pet.Scheme(*schemeF)
-	}
-	if set("transport") {
-		s.Transport = pet.TransportKind(*transportF)
-	}
-	if set("train") {
-		s.Train = *train
-	}
-	if set("warmup") {
-		s.Warmup = pet.Time(warmup.Nanoseconds()) * pet.Nanosecond
-		s.ExplicitWarmup = true
-	}
-	if set("duration") {
-		s.Duration = pet.Time(dur.Nanoseconds()) * pet.Nanosecond
-	}
-	if set("topo") {
-		topoCfg, err := pet.TopoPreset(*topoF)
-		if err != nil {
-			return fatalf("%v", err)
-		}
-		s.Topo = topoCfg
-	}
-	if *spines > 0 && set("spines") {
-		s.Topo.Spines = *spines
-	}
-	if *leaves > 0 && set("leaves") {
-		s.Topo.Leaves = *leaves
-	}
-	if *hosts > 0 && set("hosts") {
-		s.Topo.HostsPerLeaf = *hosts
-	}
-	if err := s.Topo.Validate(); err != nil {
+	spec, s, err := o.resolve(fs)
+	if err != nil {
 		return fatalf("%v", err)
 	}
-	if *shards == 0 {
-		*shards = runtime.NumCPU()
+	runLabel := spec.Name
+	if runLabel == "" {
+		runLabel = *o.scenario
 	}
-	if set("shards") {
-		s.Shards = *shards
-	}
-	if set("workload") {
-		wl, err := pet.WorkloadByName(*wlF)
-		if err != nil {
-			return fatalf("%v", err)
-		}
-		s.Workload = wl
-		if !s.ExplicitBetas {
-			s.Beta1, s.Beta2 = pet.DefaultBetas(wl)
-			s.ExplicitBetas = true
-		}
-	}
-	if *models != "" && set("models") {
-		data, err := os.ReadFile(*models)
+	if *o.models != "" {
+		data, err := os.ReadFile(*o.models)
 		if err != nil {
 			return fatalf("reading models: %v", err)
 		}
 		s.Models = data
 	}
 
+	tf := &o.telemetry
 	if err := tf.Start(func(format string, a ...any) {
 		fmt.Fprintf(stderr, format+"\n", a...)
 	}); err != nil {
@@ -195,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer tf.Stop()
 	s.Telemetry = tf.Registry
 
-	s.Trace = *traceF != ""
+	s.Trace = *o.trace != ""
 	start := time.Now()
 	env, err := pet.NewEnv(s)
 	if err != nil {
@@ -203,8 +151,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	res := env.Run()
 	wall := time.Since(start)
-	if *traceF != "" {
-		f, err := os.Create(*traceF)
+	if *o.trace != "" {
+		f, err := os.Create(*o.trace)
 		if err != nil {
 			return fatalf("creating trace: %v", err)
 		}
@@ -214,11 +162,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := f.Close(); err != nil {
 			return fatalf("closing trace: %v", err)
 		}
-		fmt.Fprintf(stdout, "trace       %d events -> %s\n", env.Trace.Len(), *traceF)
+		fmt.Fprintf(stdout, "trace       %d events -> %s\n", env.Trace.Len(), *o.trace)
 	}
 
-	label := fmt.Sprintf("%s, load %.0f%%, %s", *wlF, *load*100, *topoF)
-	if *scenarioF != "" {
+	label := fmt.Sprintf("%s, load %.0f%%, %s", *o.workload, *o.load*100, *o.topo)
+	if *o.scenario != "" {
 		label = fmt.Sprintf("scenario %s, load %.0f%%", runLabel, res.Load*100)
 	}
 	fmt.Fprintf(stdout, "scheme      %s  (%s)\n", res.Scheme, label)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -186,5 +187,49 @@ func TestListWorkloadsAndEvents(t *testing.T) {
 	}
 	if out.String() != "incast-burst\nlink-down\nlink-up\nload-change\nworkload-switch\n" {
 		t.Fatalf("-list-events = %q", out.String())
+	}
+}
+
+// -workload over a document without betas picks that workload's paper
+// betas (Data Mining: 0.7, 0.3), exactly as it does without -scenario.
+func TestScenarioWorkloadFlagBetas(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "testdata/oracle.json", "-workload", "datamining"},
+		{"-workload", "datamining"},
+	} {
+		fs, o := newFlags(io.Discard)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		_, s, err := o.resolve(fs)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if s.Beta1 != 0.7 || s.Beta2 != 0.3 {
+			t.Fatalf("%v: betas (%g, %g), want (0.7, 0.3)", args, s.Beta1, s.Beta2)
+		}
+	}
+}
+
+// Out-of-range scenario flags are spec errors (exit 2), never a panic in
+// simulator assembly.
+func TestOutOfRangeFlagExitsNonZero(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-load", "1.5"}, "load: 1.5 out of range"},
+		{[]string{"-incast", "1.5"}, "incast_fraction: 1.5 out of range"},
+		{[]string{"-warmup", "200000h"}, "warmup: duration"},
+	}
+	for _, tc := range cases {
+		var out, errb bytes.Buffer
+		code := run(append(tc.args, "-duration", "1ms"), &out, &errb)
+		if code != 2 {
+			t.Fatalf("%v: exit = %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb.String(), "scenario spec: "+tc.want) || strings.Contains(errb.String(), "panic") {
+			t.Fatalf("%v: stderr = %q", tc.args, errb.String())
+		}
 	}
 }

@@ -72,56 +72,90 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// options holds the flags run reads itself. The scenario flags (-topo,
+// -workload, -load, -seed, -shards, -duration) are read by name when
+// pet.ScenarioFromFlags resolves the command line into a scenario document.
+type options struct {
+	scenario, topo, workload, out, ckpt, traceCSV      *string
+	shards, workers, rounds, retries, quorum, keepCkpt *int
+	dur, epTimeout                                     *time.Duration
+	resume, allowWC, quiet, listS, listT, listW        *bool
+	version                                            *bool
+	telemetry                                          pet.TelemetryFlag
+}
+
+func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("pettrain", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		scenarioF = fs.String("scenario", "", "load a scenario document (JSON); explicitly-set flags override its fields")
-		topoF     = fs.String("topo", "tiny", "fabric preset: "+strings.Join(pet.TopoPresets(), "|"))
-		shards    = fs.Int("shards", 1, "event-loop shards per episode engine (0 = one per CPU, 1 = single loop)")
-		wlF       = fs.String("workload", "websearch", "registered workload name: "+strings.Join(pet.WorkloadNames(), "|"))
-		load      = fs.Float64("load", 0.6, "offered training load")
-		dur       = fs.Duration("duration", 100*time.Millisecond, "simulated training time per episode")
-		seed      = fs.Int64("seed", 1, "root random seed")
-		out       = fs.String("out", "pet.model", "output model bundle path")
-		workers   = fs.Int("workers", 1, "parallel rollout workers (0 = all cores)")
-		rounds    = fs.Int("rounds", 1, "synchronized merge rounds")
-		ckpt      = fs.String("checkpoint", "", "checkpoint model-store directory: one version per round on the \"candidate\" channel (servable by petd -store)")
-		resume    = fs.Bool("resume", false, "resume from the last checkpoint in -checkpoint")
-		allowWC   = fs.Bool("allow-worker-change", false, "permit resuming with a different worker count (changes the training trajectory)")
-		retries   = fs.Int("retries", 2, "per-episode retries after a failure, panic or blown deadline (fresh seed per attempt)")
-		epTimeout = fs.Duration("episode-timeout", 0, "wall-clock deadline per episode attempt (0 = unbounded)")
-		quorum    = fs.Int("quorum", 0, "minimum successful episodes to merge a round (0 = all workers; less marks the round degraded)")
-		keepCkpt  = fs.Int("keep-checkpoints", 0, "newest store versions whose bytes GC keeps, for corruption fallback on resume (0 = 3)")
-		traceCSV  = fs.String("tracecsv", "", "write per-round telemetry as CSV to this file")
-		quiet     = fs.Bool("q", false, "suppress per-round progress on stderr")
-		listS     = fs.Bool("list-schemes", false, "print the registered scheme names and exit")
-		listT     = fs.Bool("list-transports", false, "print the registered transport names and exit")
-		listW     = fs.Bool("list-workloads", false, "print the registered workload names and exit")
-		version   = fs.Bool("version", false, "print the build identity and exit")
-	)
-	var tf pet.TelemetryFlag
-	tf.Register(fs)
+	o := &options{
+		scenario:  fs.String("scenario", "", "load a scenario document (JSON); explicitly-set flags override its fields"),
+		topo:      fs.String("topo", "tiny", "fabric preset: "+strings.Join(pet.TopoPresets(), "|")),
+		shards:    fs.Int("shards", 1, "event-loop shards per episode engine (0 = one per CPU, 1 = single loop)"),
+		workload:  fs.String("workload", "websearch", "registered workload name: "+strings.Join(pet.WorkloadNames(), "|")),
+		dur:       fs.Duration("duration", 100*time.Millisecond, "simulated training time per episode"),
+		out:       fs.String("out", "pet.model", "output model bundle path"),
+		workers:   fs.Int("workers", 1, "parallel rollout workers (0 = all cores)"),
+		rounds:    fs.Int("rounds", 1, "synchronized merge rounds"),
+		ckpt:      fs.String("checkpoint", "", "checkpoint model-store directory: one version per round on the \"candidate\" channel (servable by petd -store)"),
+		resume:    fs.Bool("resume", false, "resume from the last checkpoint in -checkpoint"),
+		allowWC:   fs.Bool("allow-worker-change", false, "permit resuming with a different worker count (changes the training trajectory)"),
+		retries:   fs.Int("retries", 2, "per-episode retries after a failure, panic or blown deadline (fresh seed per attempt)"),
+		epTimeout: fs.Duration("episode-timeout", 0, "wall-clock deadline per episode attempt (0 = unbounded)"),
+		quorum:    fs.Int("quorum", 0, "minimum successful episodes to merge a round (0 = all workers; less marks the round degraded)"),
+		keepCkpt:  fs.Int("keep-checkpoints", 0, "newest store versions whose bytes GC keeps, for corruption fallback on resume (0 = 3)"),
+		traceCSV:  fs.String("tracecsv", "", "write per-round telemetry as CSV to this file"),
+		quiet:     fs.Bool("q", false, "suppress per-round progress on stderr"),
+		listS:     fs.Bool("list-schemes", false, "print the registered scheme names and exit"),
+		listT:     fs.Bool("list-transports", false, "print the registered transport names and exit"),
+		listW:     fs.Bool("list-workloads", false, "print the registered workload names and exit"),
+		version:   fs.Bool("version", false, "print the build identity and exit"),
+	}
+	fs.Float64("load", 0.6, "offered training load")
+	fs.Int64("seed", 1, "root random seed")
+	o.telemetry.Register(fs)
+	return fs, o
+}
+
+// resolve turns the parsed command line into the training scenario and the
+// per-episode simulated time: the -scenario document (or, without one,
+// every flag's value over pettrain's incast mix) with the explicitly-set
+// flags written over it, -shards 0 meaning one per CPU. The document's
+// measurement window doubles as the episode time unless -duration
+// overrides it.
+func (o *options) resolve(fs *flag.FlagSet) (pet.Scenario, pet.Time, error) {
+	if *o.shards == 0 {
+		*o.shards = runtime.NumCPU()
+	}
+	_, s, err := pet.ScenarioFromFlags(fs, *o.scenario, pet.ScenarioSpec{IncastFraction: 0.2, IncastFanIn: 3})
+	episode := s.Duration
+	if episode == 0 {
+		episode = pet.Time(o.dur.Nanoseconds()) * pet.Nanosecond
+	}
+	return s, episode, err
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs, o := newFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *version {
+	if *o.version {
 		fmt.Fprintln(stdout, pet.ReadBuildInfo())
 		return 0
 	}
-	if *listS {
+	if *o.listS {
 		for _, name := range pet.SchemeNames() {
 			fmt.Fprintln(stdout, name)
 		}
 		return 0
 	}
-	if *listT {
+	if *o.listT {
 		for _, name := range pet.TransportNames() {
 			fmt.Fprintln(stdout, name)
 		}
 		return 0
 	}
-	if *listW {
+	if *o.listW {
 		for _, name := range pet.WorkloadNames() {
 			fmt.Fprintln(stdout, name)
 		}
@@ -133,83 +167,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	// With -scenario the document is the base configuration and only flags
-	// the user explicitly set override it; without, every flag applies.
-	visited := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { visited[f.Name] = true })
-	set := func(name string) bool { return *scenarioF == "" || visited[name] }
-
-	var s pet.Scenario
-	episode := pet.Time(dur.Nanoseconds()) * pet.Nanosecond
-	if *scenarioF != "" {
-		spec, err := pet.LoadScenarioFile(*scenarioF)
-		if err != nil {
-			return fatalf(2, "%v", err)
-		}
-		if s, err = spec.ToScenario(); err != nil {
-			return fatalf(2, "%v", err)
-		}
-		// The document's measurement window doubles as the per-episode
-		// training time unless -duration overrides it.
-		if s.Duration > 0 && !visited["duration"] {
-			episode = s.Duration
-		}
-	} else {
-		s.IncastFraction = 0.2
-		s.IncastFanIn = 3
-	}
-	if set("seed") {
-		s.Seed = *seed
-	}
-	if set("load") {
-		s.Load = *load
-		s.ExplicitLoad = true
-	}
-	if set("topo") {
-		topoCfg, err := pet.TopoPreset(*topoF)
-		if err != nil {
-			return fatalf(2, "%v", err)
-		}
-		s.Topo = topoCfg
-	}
-	if *shards == 0 {
-		*shards = runtime.NumCPU()
-	}
-	if set("shards") {
-		s.Shards = *shards
-	}
-	if set("workload") {
-		wl, err := pet.WorkloadByName(*wlF)
-		if err != nil {
-			return fatalf(2, "%v", err)
-		}
-		s.Workload = wl
-		if !s.ExplicitBetas {
-			s.Beta1, s.Beta2 = pet.DefaultBetas(wl)
-			s.ExplicitBetas = true
-		}
+	s, episode, err := o.resolve(fs)
+	if err != nil {
+		return fatalf(2, "%v", err)
 	}
 
-	if *workers == 0 {
-		*workers = runtime.NumCPU()
+	if *o.workers == 0 {
+		*o.workers = runtime.NumCPU()
 	}
 	cfg := pet.FleetConfig{
-		Workers:           *workers,
-		Rounds:            *rounds,
-		Checkpoint:        *ckpt,
-		Resume:            *resume,
-		AllowWorkerChange: *allowWC,
-		MaxRetries:        *retries,
-		EpisodeTimeout:    *epTimeout,
-		MinQuorum:         *quorum,
-		KeepCheckpoints:   *keepCkpt,
+		Workers:           *o.workers,
+		Rounds:            *o.rounds,
+		Checkpoint:        *o.ckpt,
+		Resume:            *o.resume,
+		AllowWorkerChange: *o.allowWC,
+		MaxRetries:        *o.retries,
+		EpisodeTimeout:    *o.epTimeout,
+		MinQuorum:         *o.quorum,
+		KeepCheckpoints:   *o.keepCkpt,
 		// Retries, stragglers, degraded rounds and checkpoint fallbacks
 		// are exceptional; surface them even under -q.
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, "pettrain: "+format+"\n", a...)
 		},
 	}
-	if *traceCSV != "" {
+	tf := &o.telemetry
+	if *o.traceCSV != "" {
 		// The CSV flush needs a registry even when nothing is served.
 		tf.Registry = pet.NewTelemetry()
 	}
@@ -221,18 +204,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer tf.Stop() // drain in-flight scrapes instead of snapping them
 	cfg.Telemetry = tf.Registry
 	var rec *pet.TraceRecorder
-	if *traceCSV != "" {
+	if *o.traceCSV != "" {
 		rec = pet.NewTraceRecorder(0)
 		cfg.Trace = rec
 	}
-	if !*quiet {
+	if !*o.quiet {
 		cfg.OnRound = func(r pet.FleetRound) {
 			note := ""
 			if r.Degraded {
-				note = fmt.Sprintf(" [degraded: %d of %d slots failed]", r.Failed, *workers)
+				note = fmt.Sprintf(" [degraded: %d of %d slots failed]", r.Failed, *o.workers)
 			}
 			fmt.Fprintf(stderr, "round %d/%d: %d episodes, mean reward %.4f, %d PPO updates%s\n",
-				r.Round+1, *rounds, r.Episodes, r.MeanReward, r.Updates, note)
+				r.Round+1, *o.rounds, r.Episodes, r.MeanReward, r.Updates, note)
 		}
 	}
 
@@ -247,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintf(stderr, "pettrain: interrupted: %v\n", err)
-			if *ckpt != "" && res.Rounds > 0 {
+			if *o.ckpt != "" && res.Rounds > 0 {
 				fmt.Fprintf(stderr, "pettrain: checkpoint covers %d completed round(s); rerun with -resume to continue\n", res.Rounds)
 			}
 			return 130
@@ -258,11 +241,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if res.ResumedFrom > 0 {
 		fmt.Fprintf(stderr, "resumed from checkpoint at round %d\n", res.ResumedFrom)
 	}
-	if err := os.WriteFile(*out, res.Models, 0o644); err != nil {
+	if err := os.WriteFile(*o.out, res.Models, 0o644); err != nil {
 		return fatalf(1, "%v", err)
 	}
 	if rec != nil {
-		f, err := os.Create(*traceCSV)
+		f, err := os.Create(*o.traceCSV)
 		if err == nil {
 			err = rec.WriteCSV(f)
 			if cerr := f.Close(); err == nil {
@@ -273,16 +256,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatalf(1, "tracecsv: %v", err)
 		}
 	}
-	envLabel := *topoF + "/" + *wlF
-	if *scenarioF != "" {
-		envLabel = "scenario " + *scenarioF
+	envLabel := *o.topo + "/" + *o.workload
+	if *o.scenario != "" {
+		envLabel = "scenario " + *o.scenario
 	}
 	episodes := (res.Rounds - res.ResumedFrom) * cfg.Workers
 	fmt.Fprintf(stderr, "trained %s: %d rounds (%d episodes of %v simulated time) in %v wall clock\n",
 		envLabel, res.Rounds, episodes, time.Duration(episode/pet.Nanosecond)*time.Nanosecond, time.Since(start).Round(time.Millisecond))
-	fmt.Fprintf(stderr, "wrote %d bytes to %s\n", len(res.Models), *out)
+	fmt.Fprintf(stderr, "wrote %d bytes to %s\n", len(res.Models), *o.out)
 	// The single machine-parsable result line.
 	fmt.Fprintf(stdout, "rounds=%d episodes=%d resumed_from=%d cum_reward=%.6f retries=%d stragglers=%d degraded_rounds=%d model_bytes=%d out=%s\n",
-		res.Rounds, episodes, res.ResumedFrom, res.CumReward, res.Retries, res.Stragglers, len(res.DegradedRounds), len(res.Models), *out)
+		res.Rounds, episodes, res.ResumedFrom, res.CumReward, res.Retries, res.Stragglers, len(res.DegradedRounds), len(res.Models), *o.out)
 	return 0
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,5 +72,30 @@ func TestScenarioDurationBecomesEpisode(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "episodes of 1ms simulated time") {
 		t.Fatalf("episode time did not come from the document:\n%s", stderr.String())
+	}
+}
+
+// -workload over a document without betas picks that workload's paper
+// betas (Data Mining: 0.7, 0.3), exactly as it does without -scenario.
+func TestScenarioWorkloadFlagBetas(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "train.json")
+	if err := os.WriteFile(path, []byte(`{"seed": 2, "load": 0.4}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-scenario", path, "-workload", "datamining"},
+		{"-workload", "datamining"},
+	} {
+		fs, o := newFlags(io.Discard)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		s, _, err := o.resolve(fs)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if s.Beta1 != 0.7 || s.Beta2 != 0.3 {
+			t.Fatalf("%v: betas (%g, %g), want (0.7, 0.3)", args, s.Beta1, s.Beta2)
+		}
 	}
 }

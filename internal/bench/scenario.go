@@ -169,6 +169,23 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
+// checkTraffic rejects offered-traffic values the workload generator cannot
+// run, naming each by its scenario-document path.
+func (s Scenario) checkTraffic() error {
+	for _, f := range []struct {
+		path string
+		v    float64
+	}{{"load", s.Load}, {"incast_fraction", s.IncastFraction}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return specErr(f.path, "%g out of range [0,1]", f.v)
+		}
+	}
+	if s.IncastFanIn < 0 {
+		return specErr("incast_fan_in", "%d is negative", s.IncastFanIn)
+	}
+	return nil
+}
+
 // ControlAlpha is the Eq. (5) scale parameter used on the scaled-down
 // fabrics: α=2 spans 2 KB–1 MB, proportionate to 10–40 Gbps links the same
 // way the paper's α=20 spans its 25–100 Gbps fabric. Scheme builders share
@@ -235,9 +252,12 @@ func (e *Env) idealPathDelay(src, dst topo.NodeID, size int64) sim.Time {
 
 // NewEnv assembles a scenario without running it. An unregistered scheme or
 // transport name yields an *UnknownSchemeError / *UnknownTransportError; an
-// invalid event yields a *SpecError naming events[i].
+// invalid event, load or incast mix yields a *SpecError naming it.
 func NewEnv(s Scenario) (*Env, error) {
 	s = s.withDefaults()
+	if err := s.checkTraffic(); err != nil {
+		return nil, err
+	}
 	buildTransport, err := transportBuilder(s.Transport)
 	if err != nil {
 		return nil, err
@@ -253,6 +273,9 @@ func NewEnv(s Scenario) (*Env, error) {
 
 	if err := s.Topo.Validate(); err != nil {
 		return nil, err
+	}
+	if hosts := s.Topo.Leaves * s.Topo.HostsPerLeaf; hosts < 2 {
+		return nil, fmt.Errorf("bench: fabric has %d host(s); traffic needs at least 2", hosts)
 	}
 	ls := topo.BuildLeafSpine(s.Topo)
 	ncfg := netsim.Config{BufferPerQueue: 4 << 20, Telemetry: s.Telemetry}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"time"
 
 	"pet/internal/sim"
@@ -75,31 +76,28 @@ func (d *SimDuration) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return fmt.Errorf("want a duration string like \"20ms\"")
 	}
-	dur, err := parseSimDuration(s)
-	if err != nil {
-		return err
-	}
-	*d = dur
-	return nil
+	return d.Set(s)
 }
 
 // maxSimDuration is the longest duration a sim.Time (int64 picoseconds)
 // holds, about 106 days.
 const maxSimDuration = time.Duration(math.MaxInt64 / int64(sim.Nanosecond))
 
-// parseSimDuration parses a document duration string, rejecting negative
-// durations and durations beyond sim.Time's range.
-func parseSimDuration(s string) (SimDuration, error) {
+// Set parses a Go duration string into d, rejecting negative durations and
+// durations beyond sim.Time's range — the one simulated-duration parser of
+// documents, CLI flags and petd's job fields.
+func (d *SimDuration) Set(s string) error {
 	dur, err := time.ParseDuration(s)
 	switch {
 	case err != nil:
-		return 0, fmt.Errorf("bad duration %q", s)
+		return fmt.Errorf("bad duration %q", s)
 	case dur < 0:
-		return 0, fmt.Errorf("negative duration %q", s)
+		return fmt.Errorf("negative duration %q", s)
 	case dur > maxSimDuration:
-		return 0, fmt.Errorf("duration %q exceeds the simulator's range of %v", s, maxSimDuration)
+		return fmt.Errorf("duration %q exceeds the simulator's range of %v", s, maxSimDuration)
 	}
-	return SimDuration(sim.Time(dur.Nanoseconds()) * sim.Nanosecond), nil
+	*d = SimDuration(sim.Time(dur.Nanoseconds()) * sim.Nanosecond)
+	return nil
 }
 
 // TopoSpec selects a fabric: a named preset (default "tiny") with optional
@@ -276,6 +274,15 @@ func DecodeScenarioSpec(data []byte) (*ScenarioSpec, error) {
 	return &spec, nil
 }
 
+// LoadScenarioFile reads and decodes a scenario document from disk.
+func LoadScenarioFile(path string) (*ScenarioSpec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeScenarioSpec(data)
+}
+
 // Encode renders the canonical document form: stable field order, two-space
 // indentation, trailing newline — the format the golden files and the
 // scenarios/ library are written in.
@@ -308,21 +315,14 @@ func (sp *ScenarioSpec) ToScenario() (Scenario, error) {
 	}
 
 	if sp.Load != nil {
-		l := *sp.Load
-		if l < 0 || l > 1 || math.IsNaN(l) {
-			return s, specErr("load", "%g out of range [0,1]", l)
-		}
-		s.Load = l
+		s.Load = *sp.Load
 		s.ExplicitLoad = true
 	}
-	if sp.IncastFraction < 0 || sp.IncastFraction > 1 {
-		return s, specErr("incast_fraction", "%g out of range [0,1]", sp.IncastFraction)
-	}
 	s.IncastFraction = sp.IncastFraction
-	if sp.IncastFanIn < 0 {
-		return s, specErr("incast_fan_in", "%d is negative", sp.IncastFanIn)
-	}
 	s.IncastFanIn = sp.IncastFanIn
+	if err := s.checkTraffic(); err != nil {
+		return s, err
+	}
 
 	if sp.Scheme != "" {
 		if err := ValidateScheme(Scheme(sp.Scheme)); err != nil {
@@ -347,9 +347,9 @@ func (sp *ScenarioSpec) ToScenario() (Scenario, error) {
 		s.Beta1, s.Beta2 = b[0], b[1]
 		s.ExplicitBetas = true
 	} else {
-		// Absent betas take the per-workload paper defaults — the same rule
-		// the CLIs and petd apply (s.Workload may be nil: DefaultBetas then
-		// picks the WebSearch weights, matching the workload default).
+		// Absent betas take the per-workload paper defaults (s.Workload may
+		// be nil: DefaultBetas then picks the WebSearch weights, matching
+		// the workload default).
 		s.Beta1, s.Beta2 = DefaultBetas(s.Workload)
 		s.ExplicitBetas = true
 	}
@@ -382,4 +382,13 @@ func (sp *ScenarioSpec) ToScenario() (Scenario, error) {
 	}
 	s.Events = append([]EventSpec(nil), sp.Events...)
 	return s, nil
+}
+
+// DefaultBetas returns the paper's per-workload reward weights (Sec. 5.2):
+// (0.3, 0.7) for Web Search, (0.7, 0.3) for Data Mining.
+func DefaultBetas(wl *workload.CDF) (b1, b2 float64) {
+	if wl != nil && wl.Name() == "DataMining" {
+		return 0.7, 0.3
+	}
+	return 0.3, 0.7
 }

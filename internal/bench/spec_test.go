@@ -525,3 +525,36 @@ func TestLinkEventSelectionDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestNewEnvRejectsOutOfRangeScenario pins NewEnv's error-returning
+// contract for hand-built scenarios: traffic values the workload generator
+// cannot run, and fabrics too small to carry traffic, come back as errors
+// instead of panics deep in assembly.
+func TestNewEnvRejectsOutOfRangeScenario(t *testing.T) {
+	oneHost := topo.TinyScale()
+	oneHost.Leaves, oneHost.HostsPerLeaf = 1, 1
+	cases := []struct {
+		name string
+		s    bench.Scenario
+		path string // the *SpecError path, "" for a plain error
+	}{
+		{"load above one", bench.Scenario{Load: 1.5}, "load"},
+		{"negative load", bench.Scenario{Load: -0.1, ExplicitLoad: true}, "load"},
+		{"incast above one", bench.Scenario{IncastFraction: 1.5}, "incast_fraction"},
+		{"negative incast", bench.Scenario{IncastFraction: -0.5}, "incast_fraction"},
+		{"negative fan-in", bench.Scenario{IncastFanIn: -1}, "incast_fan_in"},
+		{"one host", bench.Scenario{Topo: oneHost}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := bench.NewEnv(tc.s)
+			if err == nil {
+				t.Fatal("NewEnv accepted the scenario")
+			}
+			var se *bench.SpecError
+			if tc.path != "" && (!errors.As(err, &se) || se.Path != tc.path) {
+				t.Fatalf("error %v does not name %s", err, tc.path)
+			}
+		})
+	}
+}

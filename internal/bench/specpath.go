@@ -46,7 +46,7 @@ func checkSpecTree(v any, t reflect.Type, path string) error {
 		if !ok {
 			return specErr(rootedPath(path), "want a duration string like \"20ms\"")
 		}
-		if _, err := parseSimDuration(s); err != nil {
+		if err := new(SimDuration).Set(s); err != nil {
 			return &SpecError{Path: rootedPath(path), Reason: err.Error()}
 		}
 		return nil

@@ -227,15 +227,13 @@ func NewInferService(bundle []byte, opts InferOptions) (*InferService, error) {
 // newReplica assembles one inference lane from a bundle, returning its
 // controller so callers can read the serving contract (width, switch set).
 func (s *InferService) newReplica(bundle []byte) (*replica, *core.Controller, error) {
-	topoCfg, err := bench.TopoByName(s.opts.Topo)
+	doc := bench.ScenarioSpec{Topo: &bench.TopoSpec{Preset: s.opts.Topo}, Scheme: s.opts.Scheme}
+	sc, err := doc.ToScenario()
 	if err != nil {
 		return nil, nil, err
 	}
-	env, err := bench.NewEnv(bench.Scenario{
-		Topo:   topoCfg,
-		Scheme: bench.Scheme(s.opts.Scheme),
-		Models: bundle,
-	})
+	sc.Models = bundle
+	env, err := bench.NewEnv(sc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: assembling inference replica: %w", err)
 	}

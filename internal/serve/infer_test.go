@@ -22,11 +22,7 @@ import (
 // testBundle pre-trains one tiny-fabric model bundle, shared (and trained
 // exactly once) across every test and benchmark in the package.
 var testBundle = sync.OnceValues(func() ([]byte, error) {
-	t, err := bench.TopoByName("tiny")
-	if err != nil {
-		return nil, err
-	}
-	return bench.PretrainPET(bench.Scenario{Topo: t, Load: 0.5, Seed: 1}, 5*sim.Millisecond)
+	return bench.PretrainPET(bench.Scenario{Topo: topo.TinyScale(), Load: 0.5, Seed: 1}, 5*sim.Millisecond)
 })
 
 func mustBundle(tb testing.TB) []byte {
@@ -42,11 +38,7 @@ func mustBundle(tb testing.TB) []byte {
 // loaded into a plain controller, no serving layer.
 func directController(tb testing.TB, bundle []byte) *core.Controller {
 	tb.Helper()
-	tcfg, err := bench.TopoByName("tiny")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	env, err := bench.NewEnv(bench.Scenario{Topo: tcfg, Scheme: bench.SchemePET, Models: bundle})
+	env, err := bench.NewEnv(bench.Scenario{Topo: topo.TinyScale(), Scheme: bench.SchemePET, Models: bundle})
 	if err != nil {
 		tb.Fatalf("assembling reference controller: %v", err)
 	}

@@ -253,6 +253,10 @@ func (s *Server) handleModelPromote(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
+		if _, err := gate.withDefaults().shadowScenario(nil); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 	}
 	res, err := s.Promote(r.Context(), r.PathValue("ref"), gate)
 	if err != nil {

@@ -27,11 +27,7 @@ import (
 // testBundle2 is a second, distinct trained bundle (different seed and
 // horizon), shared across the swap and promotion tests.
 var testBundle2 = sync.OnceValues(func() ([]byte, error) {
-	t, err := bench.TopoByName("tiny")
-	if err != nil {
-		return nil, err
-	}
-	return bench.PretrainPET(bench.Scenario{Topo: t, Load: 0.5, Seed: 7}, 8*sim.Millisecond)
+	return bench.PretrainPET(bench.Scenario{Topo: topo.TinyScale(), Load: 0.5, Seed: 7}, 8*sim.Millisecond)
 })
 
 func mustBundle2(tb testing.TB) []byte {
@@ -454,6 +450,37 @@ func TestPromoteGateRejects(t *testing.T) {
 	var gerr *GateError
 	if _, err := srv.Promote(context.Background(), "2", &forceFailGate); !errors.As(err, &gerr) {
 		t.Fatalf("Promote returned %v (%T), want *GateError", err, err)
+	}
+}
+
+// TestPromoteBadGateOverride: a gate override naming an out-of-range
+// scenario value is a bad request — 400 before any shadow run — and serving
+// stays put.
+func TestPromoteBadGateOverride(t *testing.T) {
+	bundleA, bundleB := mustBundle(t), mustBundle2(t)
+	srv, store, ts := newStoreServer(t, Config{})
+	postBundle(t, ts, bundleA, "")
+	promote(t, ts, "1", lenientGate, http.StatusOK)
+	postBundle(t, ts, bundleB, "")
+
+	resp, err := http.Post(ts.URL+"/models/2/promote", "application/json", strings.NewReader(`{"load":1.5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	decodeTestJSON(t, resp, http.StatusBadRequest, &apiErr)
+	if !strings.Contains(apiErr.Error, "load: 1.5 out of range") {
+		t.Fatalf("400 body %q does not name the bad load", apiErr.Error)
+	}
+	if vi, _ := store.Channel(modelstore.ChannelServing); vi.Version != 1 {
+		t.Fatalf("serving channel moved to %d on a bad gate override", vi.Version)
+	}
+	if ref := srv.Infer().Model(); ref.Version != 1 {
+		t.Fatalf("live pool moved to %d on a bad gate override", ref.Version)
+	}
+	// The Go API refuses the same config with an error, not a panic.
+	if _, err := srv.Promote(context.Background(), "2", &GateConfig{Load: 1.5}); err == nil {
+		t.Fatal("Promote accepted an out-of-range gate load")
 	}
 }
 

@@ -153,6 +153,10 @@ func TestLaunchValidation(t *testing.T) {
 		{Workers: 4},                       // fleet knob on a run job
 		{Kind: KindPretrain, Load: -0.25},  // bad load, pretrain kind
 		{Kind: KindRun, Checkpoint: "dir"}, // fleet knob on a run job
+		{IncastFraction: 1.5},              // out of range
+		{IncastFanIn: -1},                  // negative
+		{Warmup: "200000h"},                // beyond sim.Time's range
+		{Scenario: json.RawMessage(`{"load": 0.5}`), Transport: "dctcp"}, // flat field beside a document
 	}
 	for _, spec := range cases {
 		if _, err := m.Launch(spec); err == nil {

@@ -40,7 +40,6 @@ import (
 	"flag"
 	"log"
 	"net/http"
-	"os"
 	"time"
 
 	"pet/internal/acc"
@@ -218,10 +217,6 @@ func DataMining() *CDF { return workload.DataMining() }
 // RegisterScheme. The built-ins register "websearch" and "datamining".
 func RegisterWorkload(name string, build func() *CDF) { workload.Register(name, build) }
 
-// WorkloadByName resolves a registered workload name; unknown names yield an
-// *UnknownWorkloadError.
-func WorkloadByName(name string) (*CDF, error) { return workload.ByName(name) }
-
 // WorkloadNames lists every registered workload, sorted.
 func WorkloadNames() []string { return workload.Names() }
 
@@ -328,12 +323,14 @@ func DecodeScenarioSpec(data []byte) (*ScenarioSpec, error) {
 }
 
 // LoadScenarioFile reads and decodes a scenario document from disk.
-func LoadScenarioFile(path string) (*ScenarioSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return bench.DecodeScenarioSpec(data)
+func LoadScenarioFile(path string) (*ScenarioSpec, error) { return bench.LoadScenarioFile(path) }
+
+// ScenarioFromFlags resolves a command line's scenario: the document at
+// path (or base when path is empty) with the CLI scenario flags fs defines
+// (-seed, -load, -topo, -workload, …) written over it, resolved once by
+// ToScenario. With a document only explicitly-set flags apply.
+func ScenarioFromFlags(fs *flag.FlagSet, path string, base ScenarioSpec) (*ScenarioSpec, Scenario, error) {
+	return bench.ScenarioFromFlags(fs, path, base)
 }
 
 // RegisterEventKind makes a perturbation kind selectable by name via
